@@ -22,7 +22,6 @@
 //	nicbench -quick -all -tickprof -json  # per-domain tick costs in results
 //	nicbench -quick -simspeed-check    # gate vs BENCH_simspeed.json (CI)
 //	nicbench -simspeed-update          # refresh BENCH_simspeed.json
-//	nicbench -fleet http://host:8731   # run suites on a sweepd fleet
 //	nicbench -json -canonical          # canonical results (byte-comparable)
 package main
 
@@ -41,18 +40,8 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/sweep"
 )
-
-// sweeper abstracts where jobs run: the in-process sweep.Runner or a
-// fleet.Client talking to a sweepd coordinator. Both return results aligned
-// with input order and dedup identical specs, so every suite works
-// unchanged against either.
-type sweeper interface {
-	Sweep(ctx context.Context, jobs []sweep.Job) ([]sweep.Result, error)
-	Stats() sweep.RunnerStats
-}
 
 func main() {
 	os.Exit(run())
@@ -88,9 +77,7 @@ func run() int {
 		ssUpdate = flag.Bool("simspeed-update", false, "measure simulation speed and rewrite -simspeed-file")
 		ssFile   = flag.String("simspeed-file", "BENCH_simspeed.json", "committed simulation-speed baseline for -simspeed-check/-simspeed-update")
 
-		fleetURL  = flag.String("fleet", "", "run suites against a sweepd coordinator at this base URL instead of in-process")
 		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times and tick costs) for byte-exact comparison across runs")
-		retries   = flag.Int("retries", 0, "re-run failed jobs up to this many times (local runs; fleet retries are coordinator policy)")
 	)
 	flag.Parse()
 
@@ -168,23 +155,6 @@ func run() int {
 		return 2
 	}
 
-	if *fleetURL != "" {
-		// In fleet mode the store lives at the coordinator, and the
-		// per-process observation globals never reach the remote workers.
-		for _, f := range []struct {
-			flagName string
-			set      bool
-		}{
-			{"-out", *outDir != ""}, {"-resume", *resume},
-			{"-latency", *latency}, {"-tickprof", *tickProf},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "nicbench: %s cannot be combined with -fleet (it only affects this process, not the workers)\n", f.flagName)
-				return 2
-			}
-		}
-	}
-
 	var store *sweep.Store
 	if *resume && *outDir == "" {
 		fmt.Fprintln(os.Stderr, "nicbench: -resume requires -out")
@@ -210,15 +180,11 @@ func run() int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	var sw sweeper = &sweep.Runner{
+	sw := &sweep.Runner{
 		Run:     experiments.Simulate,
 		Workers: *parallel,
 		Timeout: *timeout,
-		Retries: *retries,
 		Store:   store,
-	}
-	if *fleetURL != "" {
-		sw = &fleet.Client{Base: strings.TrimRight(*fleetURL, "/")}
 	}
 
 	var (
@@ -289,25 +255,12 @@ func run() int {
 	if *times {
 		printTimes(allResults)
 	}
-	stats := sw.Stats()
 	extra := ""
-	if stats.Retries > 0 {
-		extra += fmt.Sprintf(", %d retried", stats.Retries)
-	}
-	if stats.StoreErrors > 0 {
-		extra += fmt.Sprintf(", %d store errors", stats.StoreErrors)
+	if n := sw.Stats().StoreErrors; n > 0 {
+		extra = fmt.Sprintf(", %d store errors", n)
 	}
 	fmt.Fprintf(os.Stderr, "nicbench: %d simulated, %d cached, %d failed%s in %.1fs (budget %s)\n",
 		ran, hit, len(failed), extra, time.Since(start).Seconds(), budgetName)
-	if fc, ok := sw.(*fleet.Client); ok && !interrupted {
-		if m, err := fc.Metrics(ctx); err == nil {
-			fmt.Fprintf(os.Stderr,
-				"nicbench: fleet: %d submitted, %d deduped, %d cached, %d executed, %d requeued, %d lease(s) expired, %d duplicate result(s)\n",
-				m[fleet.MJobsSubmitted], m[fleet.MJobsDeduped], m[fleet.MJobsCached],
-				m[fleet.MJobsExecuted], m[fleet.MJobsRequeued], m[fleet.MLeasesExpired],
-				m[fleet.MResultsDuplicate])
-		}
-	}
 	for _, r := range failed {
 		msg := r.Err
 		if i := strings.IndexByte(msg, '\n'); i >= 0 {

@@ -1,6 +1,6 @@
 // Command niclint runs the repository's custom static-analysis suite
-// (internal/lint): detlint, hotpath, unitlint, exhaustive, guardlint,
-// leaklint, and hashlint. It loads and type-checks packages with the
+// (internal/lint): detlint, hotpath, unitlint, exhaustive, guardlint, and
+// hashlint. It loads and type-checks packages with the
 // standard library only — no module downloads — so it runs in hermetic CI.
 //
 // Usage:

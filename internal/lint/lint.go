@@ -26,10 +26,6 @@
 //     tracked through Lock/Unlock/defer Unlock/RLock flow inside each
 //     function (writes under RLock are flagged; //nic:locked names helper
 //     preconditions, //nic:unguarded waives constructor/test sites).
-//   - leaklint: goroutines must have a stop path (a channel receive or a
-//     context value in their loop), time.After must not run inside loops
-//     (time.Tick not at all), and shutdown paths (Close/Stop/Shutdown)
-//     must not contain channel sends that can block forever.
 //   - hashlint: structs feeding committed spec/report hashes carry
 //     //nic:hashstable <sig> pinning their always-encoding field surface —
 //     new fields must be ,omitempty or the signature (and every committed
@@ -59,8 +55,6 @@
 //     pins the always-encoding field surface (hashlint prints it when empty)
 //   - //nic:unguarded     (line) sanctioned unlocked access (constructors,
 //     single-threaded setup, test plumbing)
-//   - //nic:leakok        (line) sanctioned goroutine/timer/shutdown-send
-//     pattern that leaklint cannot prove safe
 package lint
 
 import (
@@ -85,7 +79,7 @@ type Analyzer struct {
 
 // All returns the full niclint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Hotpath, Unitlint, Exhaustive, Guardlint, Leaklint, Hashlint}
+	return []*Analyzer{Detlint, Hotpath, Unitlint, Exhaustive, Guardlint, Hashlint}
 }
 
 // A Diagnostic is one finding.

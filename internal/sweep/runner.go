@@ -16,26 +16,14 @@ import (
 // as that job's failure without killing the pool.
 type RunFunc func(ctx context.Context, job Job) (Outcome, error)
 
-// RunnerStats counts how a sweep's unique configuration points were
-// resolved. Local runs and fleet runs (internal/fleet) report the same
-// counters, so "every point simulated exactly once" is checkable the same
-// way in both modes. Counts are per unique spec hash, not per job ID:
-// duplicate jobs served from one execution count that execution once.
+// RunnerStats counts what a sweep's results cannot show on their own.
+// Fresh, cached and failed points are visible in the returned []Result;
+// a failed store write is not, since the result is still reported.
 type RunnerStats struct {
-	// Fresh is the number of unique points simulated to completion.
-	Fresh int64 `json:"fresh"`
-	// CacheHits is the number of unique points served from the store or the
-	// in-process memo without simulating.
-	CacheHits int64 `json:"cache_hits"`
-	// Retries is the number of failed attempts that were re-run because the
-	// runner's Retries budget allowed it.
-	Retries int64 `json:"retries"`
-	// Failed is the number of unique points whose final attempt failed.
-	Failed int64 `json:"failed"`
 	// StoreErrors is the number of results whose persistence failed. A store
 	// error degrades resumability, not correctness — the result is still
 	// reported — but a nonzero count means a resume would re-simulate.
-	StoreErrors int64 `json:"store_errors"`
+	StoreErrors int64
 }
 
 // Runner executes sweeps over a worker pool.
@@ -50,11 +38,6 @@ type Runner struct {
 	// diverging simulation fails its own job (deadline exceeded), not the
 	// sweep.
 	Timeout time.Duration
-
-	// Retries is how many times a failed attempt (error, panic, timeout) is
-	// re-run before the failure is recorded. 0 means one attempt only.
-	// Cancellation is never retried.
-	Retries int
 
 	// Store, when non-nil, serves previously completed jobs by hash and
 	// persists fresh successes, making sweeps resumable across processes.
@@ -105,14 +88,6 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 
 	settle := func(res Result) {
 		r.mu.Lock()
-		switch {
-		case res.Cached:
-			r.stats.CacheHits++
-		case res.OK():
-			r.stats.Fresh++
-		default:
-			r.stats.Failed++
-		}
 		if res.OK() {
 			if r.memo == nil {
 				r.memo = map[string]Result{}
@@ -165,7 +140,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for job := range ch {
-				settle(r.runRetrying(ctx, job))
+				settle(execute(ctx, r.Run, job, r.Timeout))
 			}
 		}()
 	}
@@ -210,25 +185,10 @@ func (r *Runner) cached(hash string) (Result, bool) {
 	return Result{}, false
 }
 
-// runRetrying executes one job, re-running failed attempts while the retry
-// budget lasts and the sweep has not been canceled.
-func (r *Runner) runRetrying(ctx context.Context, job Job) Result {
-	res := Execute(ctx, r.Run, job, r.Timeout)
-	for attempt := 0; attempt < r.Retries && !res.OK() && ctx.Err() == nil; attempt++ {
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-		res = Execute(ctx, r.Run, job, r.Timeout)
-	}
-	return res
-}
-
-// Execute runs a single job attempt with a per-job timeout and panic
-// isolation: a panicking run fails its own Result (stack attached) instead
-// of crashing the caller. Both the local Runner and the fleet worker
-// (internal/fleet) execute jobs through this one path, so a job fails
-// identically whether it ran in-process or on a remote machine.
-func Execute(ctx context.Context, run RunFunc, job Job, timeout time.Duration) (res Result) {
+// execute runs a single job with a per-job timeout and panic isolation: a
+// panicking run fails its own Result (stack attached) instead of crashing
+// the pool.
+func execute(ctx context.Context, run RunFunc, job Job, timeout time.Duration) (res Result) {
 	res = Result{ID: job.ID, Hash: job.Spec.Hash(), Spec: job.Spec}
 	start := time.Now() //nic:wallclock ElapsedSec reports real job duration
 	defer func() {

