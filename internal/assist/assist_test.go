@@ -24,7 +24,12 @@ type rig struct {
 	rx    *MACRx
 }
 
-func newRig() *rig {
+func newRig() *rig { return newRigWired(true) }
+
+// newRigWired wires the rig as core.New does when sleep is set: the SDRAM
+// and both MAC wires are sim.Sleepers. Otherwise they hide behind plain
+// TickFuncs and tick on every edge.
+func newRigWired(sleep bool) *rig {
 	r := &rig{
 		sp:    mem.NewScratchpad(256*1024, 4),
 		xbar:  mem.NewCrossbar(4, 4),
@@ -45,9 +50,15 @@ func newRig() *rig {
 	cpuD.Add(r.tx)
 	cpuD.Add(r.rx)
 	cpuD.Add(r.xbar)
-	sdramD.Add(r.sdram)
-	macD.Add(sim.TickFunc(r.tx.TickMAC))
-	macD.Add(sim.TickFunc(r.rx.TickMAC))
+	if sleep {
+		sdramD.Add(r.sdram)
+		macD.Add(TxWire{M: r.tx})
+		macD.Add(RxWire{M: r.rx})
+	} else {
+		sdramD.Add(sim.TickFunc(r.sdram.Tick))
+		macD.Add(sim.TickFunc(r.tx.TickMAC))
+		macD.Add(sim.TickFunc(r.rx.TickMAC))
+	}
 	hostD.Add(r.h)
 	r.eng = sim.NewEngine(cpuD, sdramD, macD, hostD)
 	return r

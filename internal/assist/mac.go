@@ -4,6 +4,7 @@ import (
 	"repro/internal/ethernet"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -46,6 +47,7 @@ type MACTx struct {
 
 	wireRemain int     // bytes left of the frame currently on the wire
 	cur        txFrame // the frame currently on the wire
+	wakeWire   func()  // the MAC domain's wake function (TxWire)
 
 	TxFrames stats.Counter
 	TxBytes  stats.Counter // wire payload bytes (frame incl. CRC)
@@ -94,6 +96,9 @@ func (m *MACTx) TickCPU(cycle uint64) {
 			OnDone: func() {
 				m.staged = append(m.staged, f)
 				m.fetching = false
+				if m.wakeWire != nil {
+					m.wakeWire()
+				}
 			},
 		})
 	}
@@ -392,40 +397,68 @@ func (m *MACRx) admit(size int, handle any) bool {
 	return true
 }
 
-// Quiescent reports that the CPU-domain half of MACTx has nothing to do: no
-// committed frame waiting, no SDRAM fetch outstanding, and an idle port.
-// Staged frames and the wire belong to the MAC-domain half (TxWire).
-func (m *MACTx) Quiescent() bool {
-	return !m.fetching && len(m.queue) == 0 && m.Port.Quiescent()
-}
-
-// Quiescent reports that the CPU-domain half of MACRx (the scratchpad port
-// pump) is idle.
-func (m *MACRx) Quiescent() bool { return m.Port.Quiescent() }
-
-// TxWire adapts the MAC-domain half of MACTx to a sim.Ticker that supports
-// idle-skip: quiescent when nothing is staged or on the wire.
+// TxWire adapts the MAC-domain half of MACTx to a sim.Sleeper: it sleeps
+// through each frame on the wire and, idle, until a frame is staged.
 type TxWire struct{ M *MACTx }
 
 // Tick advances the transmit wire.
 func (w TxWire) Tick(cycle uint64) { w.M.TickMAC(cycle) }
 
-// Quiescent reports an idle transmit wire with an empty staging buffer.
-func (w TxWire) Quiescent() bool { return w.M.wireRemain == 0 && len(w.M.staged) == 0 }
+// Sleep implements sim.Sleeper.
+func (w TxWire) Sleep() uint64 {
+	if w.M.wireRemain > 0 {
+		return wireCountdown(w.M.wireRemain)
+	}
+	if len(w.M.staged) == 0 {
+		return sim.UntilWoken
+	}
+	return 0
+}
 
-// SkipIdle accounts the wire-utilization denominator across skipped cycles.
-func (w TxWire) SkipIdle(cycles uint64) { w.M.WireBusy.Total.Add(cycles) }
+// Skip implements sim.Sleeper.
+func (w TxWire) Skip(n uint64) { skipWire(&w.M.WireBusy, &w.M.wireRemain, n) }
 
-// RxWire adapts the MAC-domain half of MACRx to a sim.Ticker that supports
-// idle-skip. A receive wire with a Source attached is never quiescent: the
-// source is polled every MAC cycle and may present a frame at any instant.
+// SetWake implements sim.Sleeper; staging a frame wakes the wire.
+func (w TxWire) SetWake(wake func()) { w.M.wakeWire = wake }
+
+// RxWire adapts the MAC-domain half of MACRx to a sim.Sleeper: it sleeps
+// through each frame on the wire. An idle wire with a Source stays awake,
+// because the source is polled every idle cycle (an adversarial source
+// counts those polls as gap time); without one it sleeps for good, so
+// attach the Source before the run.
 type RxWire struct{ M *MACRx }
 
 // Tick advances the receive wire.
 func (w RxWire) Tick(cycle uint64) { w.M.TickMAC(cycle) }
 
-// Quiescent reports an idle receive wire with no traffic source.
-func (w RxWire) Quiescent() bool { return w.M.wireRemain == 0 && w.M.Source == nil }
+// Sleep implements sim.Sleeper.
+func (w RxWire) Sleep() uint64 {
+	if w.M.wireRemain > 0 {
+		return wireCountdown(w.M.wireRemain)
+	}
+	if w.M.Source != nil {
+		return 0
+	}
+	return sim.UntilWoken
+}
 
-// SkipIdle accounts the wire-utilization denominator across skipped cycles.
-func (w RxWire) SkipIdle(cycles uint64) { w.M.WireBusy.Total.Add(cycles) }
+// Skip implements sim.Sleeper.
+func (w RxWire) Skip(n uint64) { skipWire(&w.M.WireBusy, &w.M.wireRemain, n) }
+
+// SetWake implements sim.Sleeper. Nothing wakes the receive wire.
+func (w RxWire) SetWake(func()) {}
+
+// wireCountdown is the number of upcoming wire cycles that only count a frame
+// down: every cycle but the one that moves its last bytes. While they run,
+// wireRemain stays positive, so Backlog reads the same as in a ticked run.
+func wireCountdown(remain int) uint64 { return uint64(remain-1) / BytesPerMACCycle }
+
+// skipWire replays n busy wire cycles (or idle ones, with no frame on the
+// wire).
+func skipWire(u *stats.Utilization, remain *int, n uint64) {
+	u.Total.Add(n)
+	if *remain > 0 {
+		u.Busy.Add(n)
+		*remain -= int(n) * BytesPerMACCycle
+	}
+}

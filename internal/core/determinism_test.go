@@ -13,20 +13,24 @@ import (
 // plan attached when non-empty), and returns the serialized report. Each call
 // builds its own simulator so runs are fully independent.
 func reportJSON(t *testing.T, cfg Config, udp int, plan faults.Plan) []byte {
-	return reportJSONSched(t, cfg, udp, plan, true)
+	return reportJSONPaused(t, cfg, udp, plan, nil)
 }
 
-// reportJSONSched additionally selects the engine's scheduling path: static
-// hyperperiod table (the default) or the generic min-scan fallback.
-func reportJSONSched(t *testing.T, cfg Config, udp int, plan faults.Plan, static bool) []byte {
+// reportJSONPaused is reportJSON with the warm-up cut into back-to-back
+// Engine.RunFor calls that end at (the first edge at or past) each of the
+// given instants before Run finishes it.
+func reportJSONPaused(t *testing.T, cfg Config, udp int, plan faults.Plan, pauses []sim.Picoseconds) []byte {
 	t.Helper()
 	n := New(cfg)
-	n.Engine.SetStaticSchedule(static)
 	n.AttachWorkload(udp, false)
 	if err := n.AttachFaults(plan); err != nil {
 		t.Fatal(err)
 	}
-	r := n.Run(300*sim.Microsecond, 200*sim.Microsecond)
+	const warmup = 300 * sim.Microsecond
+	for _, p := range pauses {
+		n.Engine.RunFor(p - n.Engine.Now())
+	}
+	r := n.Run(warmup-n.Engine.Now(), 200*sim.Microsecond)
 	b, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -66,17 +70,23 @@ func TestReportJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestReportJSONSchedulerPathsAgree: the static hyperperiod schedule is a
-// pure replay of the edge pattern the generic min-scan would compute, so
-// disabling it must not move a single tick — reports are byte-identical at
-// both paper operating points (six 166 MHz cores with RMW, the eight-core
-// 175 MHz software-only grid corner), with and without a fault plan.
+// TestReportJSONSchedulerPathsAgree: stopping and resuming the engine must
+// not move a single tick. A warm-up cut into dozens of RunFor calls, which
+// end on arbitrary instants (often edges only a sleeping SDRAM or MAC wire
+// has) and bring every sleeping domain's bookkeeping up to date each time,
+// yields the report of one uninterrupted warm-up, at both paper operating
+// points (six 166 MHz cores with RMW, the eight-core 175 MHz software-only
+// grid corner), with and without a fault plan.
 func TestReportJSONSchedulerPathsAgree(t *testing.T) {
 	rmw := RMWConfig()
 	big := DefaultConfig()
 	big.Cores = 8
 	big.CPUMHz = 175
 	ref := faults.Reference(300 * sim.Microsecond)
+	var pauses []sim.Picoseconds
+	for p := sim.Picoseconds(1); p < 300*sim.Microsecond; p += 7*sim.Microsecond + 777 {
+		pauses = append(pauses, p)
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -88,12 +98,30 @@ func TestReportJSONSchedulerPathsAgree(t *testing.T) {
 		{"8c-175-sw-ref-faults", big, ref},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			static := reportJSONSched(t, tc.cfg, 1472, tc.plan, true)
-			generic := reportJSONSched(t, tc.cfg, 1472, tc.plan, false)
-			if !bytes.Equal(static, generic) {
-				t.Errorf("static vs generic scheduler reports diverge:\nstatic:  %s\ngeneric: %s", static, generic)
+			whole := reportJSON(t, tc.cfg, 1472, tc.plan)
+			paused := reportJSONPaused(t, tc.cfg, 1472, tc.plan, pauses)
+			if !bytes.Equal(whole, paused) {
+				t.Errorf("paused vs uninterrupted warm-up reports diverge:\nwhole:  %s\npaused: %s", whole, paused)
 			}
 		})
+	}
+}
+
+// TestSleepingDomainsStepCount guards the engine's step rate at the paper's
+// six-core 166 MHz RMW point. Ticking every edge of the four clocks takes
+// about 923 steps per simulated µs; with the SDRAM and both MAC wires asleep
+// through bursts, frames and idle stretches it takes about 310. A lost wake
+// would stall the run or break the digests elsewhere; a ticker without
+// Sleeper in the sdram or mac domain keeps that domain awake and trips this
+// bound. The count is deterministic.
+func TestSleepingDomainsStepCount(t *testing.T) {
+	n := New(RMWConfig())
+	n.AttachWorkload(1472, false)
+	n.Run(800*sim.Microsecond, 2*sim.Millisecond)
+	perUs := float64(n.Engine.Steps()) / (float64(n.Engine.Now()) / float64(sim.Microsecond))
+	t.Logf("%.1f engine steps per simulated µs", perUs)
+	if perUs > 350 {
+		t.Errorf("%.1f engine steps per simulated µs, want <= 350", perUs)
 	}
 }
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -21,7 +22,7 @@ import (
 // as the paper counts them ("this is lost SDRAM bandwidth that cannot be
 // recovered, so it is counted in the totals").
 //
-// SDRAM is a sim.Ticker registered in the SDRAM clock domain.
+// SDRAM is a sim.Sleeper registered in the SDRAM clock domain.
 type SDRAM struct {
 	rowBytes   int
 	banks      int
@@ -48,7 +49,8 @@ type SDRAM struct {
 	// Latency records per-transfer total cycles (queue + activate + data).
 	Latency *stats.Histogram
 
-	now uint64
+	now  uint64
+	wake func() // the clock domain's wake function (sim.Sleeper)
 }
 
 // A Transfer is one burst between an assist and the SDRAM.
@@ -100,8 +102,12 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 	return s
 }
 
-// Enqueue adds a transfer to the given port's queue.
+// Enqueue adds a transfer to the given port's queue. It wakes the SDRAM's
+// clock domain first, which also brings s.now up to date for the stamp.
 func (s *SDRAM) Enqueue(port int, t Transfer) {
+	if s.wake != nil {
+		s.wake()
+	}
 	t.queuedAt = s.now
 	s.queues[port] = append(s.queues[port], t)
 }
@@ -183,23 +189,26 @@ func (s *SDRAM) start(cycle uint64) {
 // PeakGbps returns the peak bandwidth at the given SDRAM frequency in MHz.
 func PeakGbps(mhz float64) float64 { return mhz * 1e6 * 16 * 8 / 1e9 }
 
-// Quiescent reports that no burst is active and every port queue is empty.
-func (s *SDRAM) Quiescent() bool {
-	if s.active {
-		return false
+// Sleep implements sim.Sleeper. An idle SDRAM sleeps until Enqueue wakes
+// it; during a burst every cycle before the last only counts down.
+func (s *SDRAM) Sleep() uint64 {
+	if !s.active {
+		return sim.UntilWoken // a tick that leaves the SDRAM idle found every queue empty
 	}
-	for p, q := range s.queues {
-		if s.qhead[p] != len(q) {
-			return false
-		}
-	}
-	return true
+	return uint64(s.remaining - 1)
 }
 
-// SkipIdle replays the bookkeeping of idle cycles the engine fast-forwarded
-// across: the utilization denominator grows and the controller's notion of
-// "now" keeps pace so later queuedAt stamps match a fully ticked run.
-func (s *SDRAM) SkipIdle(cycles uint64) {
-	s.now += cycles
-	s.Busy.Total.Add(cycles)
+// Skip implements sim.Sleeper: it replays the bookkeeping of n cycles the
+// engine slept through, so utilization, the burst countdown and the "now"
+// that later queuedAt stamps read match a fully ticked run.
+func (s *SDRAM) Skip(n uint64) {
+	s.now += n
+	s.Busy.Total.Add(n)
+	if s.active {
+		s.Busy.Busy.Add(n)
+		s.remaining -= int(n)
+	}
 }
+
+// SetWake implements sim.Sleeper.
+func (s *SDRAM) SetWake(wake func()) { s.wake = wake }

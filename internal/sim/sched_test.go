@@ -2,114 +2,315 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// traceRecorder logs every tick as "name:cycle@now" so two engine
-// configurations can be compared edge for edge.
-type traceRecorder struct {
-	e   *Engine
-	log *[]string
+// job is a test Sleeper shaped like the controller's SDRAM: submitted jobs
+// queue, each runs for a fixed number of cycles, and an idle job ticker
+// sleeps until a submission wakes it. Ticks that start or finish a job are
+// logged with the instant, the cycle and the replayed bookkeeping, so a
+// sleeping run and a fully ticked run can be compared tick for tick.
+type job struct {
+	name   string
+	e      *Engine
+	log    *[]string
+	lens   []int // job lengths, used round-robin
+	nlen   int
+	queue  int
+	remain int
+
+	// Bookkeeping a skipped tick must replay.
+	now, total, busy uint64
+
+	onDone func()
+	wake   func()
 }
 
-func record(e *Engine, log *[]string, d *Domain) {
-	name := d.Name()
+func (j *job) Tick(cycle uint64) {
+	j.now = cycle
+	j.total++
+	if j.remain == 0 && j.queue > 0 {
+		j.queue--
+		j.remain = j.lens[j.nlen%len(j.lens)]
+		j.nlen++
+		j.logf("start")
+	}
+	if j.remain == 0 {
+		return
+	}
+	j.busy++
+	j.remain--
+	if j.remain == 0 {
+		j.logf("done")
+		if j.onDone != nil {
+			j.onDone()
+		}
+	}
+}
+
+func (j *job) Sleep() uint64 {
+	switch {
+	case j.remain > 0:
+		return uint64(j.remain - 1)
+	case j.queue > 0:
+		return 0
+	}
+	return UntilWoken
+}
+
+func (j *job) Skip(n uint64) {
+	j.now += n
+	j.total += n
+	if j.remain > 0 {
+		j.busy += n
+		j.remain -= int(n)
+	}
+}
+
+func (j *job) SetWake(wake func()) { j.wake = wake }
+
+// submit queues a job, waking the ticker first so the logged stamp reads
+// the replayed "now", as SDRAM.Enqueue does.
+func (j *job) submit() {
+	if j.wake != nil {
+		j.wake()
+	}
+	j.queue++
+	j.logf("submit")
+}
+
+func (j *job) logf(what string) {
+	*j.log = append(*j.log, fmt.Sprintf("%s %s @%d cycle=%d total=%d busy=%d",
+		j.name, what, j.e.Now(), j.now, j.total, j.busy))
+}
+
+// diffRig is one engine of a differential pair. With sleep false every job
+// is registered behind a plain TickFunc, which hides Sleeper, so the engine
+// ticks every edge.
+type diffRig struct {
+	e     *Engine
+	sleep bool
+	log   []string
+	jobs  []*job
+	doms  []*Domain
+}
+
+func newDiffRig(sleep bool) *diffRig { return &diffRig{e: NewEngine(), sleep: sleep} }
+
+func (r *diffRig) domain(name string, hz float64) *Domain {
+	d := NewDomain(name, hz)
+	r.e.AddDomain(d)
+	r.doms = append(r.doms, d)
+	return d
+}
+
+func (r *diffRig) job(d *Domain, lens ...int) *job {
+	j := &job{name: fmt.Sprintf("%s/%d", d.Name(), len(r.jobs)), e: r.e, log: &r.log, lens: lens}
+	r.jobs = append(r.jobs, j)
+	if r.sleep {
+		d.Add(j)
+	} else {
+		d.Add(TickFunc(j.Tick))
+	}
+	return j
+}
+
+// producer adds a plain ticker to d that submits to j on a fixed
+// pseudo-random subset of its cycles, about one in every.
+func (r *diffRig) producer(d *Domain, j *job, every uint64) {
 	d.Add(TickFunc(func(cycle uint64) {
-		*log = append(*log, fmt.Sprintf("%s:%d@%d", name, cycle, e.now))
+		if mix(cycle)%every == 0 {
+			j.submit()
+		}
 	}))
 }
 
-// nicDomains builds the controller's four clock domains plus an event domain,
-// with tickers recording into log. The host period (7519 ps) is incommensurate
-// with the others, so the static schedule covers only the cpu/sdram/mac prefix
-// and the host is merged as an extra — exactly the production shape.
-func nicDomains(log *[]string) (*Engine, *Domain) {
-	cpu := NewDomain("cpu", 200e6)
-	sdram := NewDomain("sdram", 500e6)
-	mac := NewDomain("mac", 156.25e6)
-	host := NewDomain("host", 133e6)
-	ev := NewEventDomain("ev")
-	e := NewEngine(cpu, sdram, mac, host, ev)
-	for _, d := range []*Domain{cpu, sdram, mac, host} {
-		record(e, log, d)
-	}
-	return e, ev
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-func TestStaticScheduleMatchesGenericPath(t *testing.T) {
-	var fast, slow []string
-	ef, evf := nicDomains(&fast)
-	es, evs := nicDomains(&slow)
-	es.SetStaticSchedule(false)
-	// Events landing mid-pattern force the fast path to bail for that step.
-	for _, ev := range []*Domain{evf, evs} {
-		ev.Schedule(12345, func() {})
-		ev.Schedule(100000, func() {})
+// state renders everything a report could read after a run returns.
+func (r *diffRig) state() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d", r.e.Now())
+	for _, d := range r.doms {
+		fmt.Fprintf(&b, " %s.cycles=%d", d.Name(), d.Cycles())
 	}
-	ef.RunFor(3 * Microsecond)
-	es.RunFor(3 * Microsecond)
-	if len(fast) == 0 {
-		t.Fatal("no ticks recorded")
+	for _, j := range r.jobs {
+		fmt.Fprintf(&b, " %s{now=%d total=%d busy=%d remain=%d queue=%d}",
+			j.name, j.now, j.total, j.busy, j.remain, j.queue)
 	}
-	if len(fast) != len(slow) {
-		t.Fatalf("tick counts differ: static %d, generic %d", len(fast), len(slow))
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("tick %d differs: static %q, generic %q", i, fast[i], slow[i])
+	return b.String()
+}
+
+// runDiff builds a sleeping and a fully ticked rig, drives both through the
+// same back-to-back RunFor calls, and requires identical tick logs and
+// identical state after every call. It returns both rigs.
+func runDiff(t *testing.T, build func(*diffRig), chunks ...Picoseconds) (sleeping, ticked *diffRig) {
+	t.Helper()
+	sleeping, ticked = newDiffRig(true), newDiffRig(false)
+	build(sleeping)
+	build(ticked)
+	for i, c := range chunks {
+		sleeping.e.RunFor(c)
+		ticked.e.RunFor(c)
+		if s, k := sleeping.state(), ticked.state(); s != k {
+			t.Fatalf("after RunFor #%d (%d ps):\nsleeping: %s\nticked:   %s", i, c, s, k)
 		}
 	}
-	if ef.Now() != es.Now() || ef.Steps() != es.Steps() {
-		t.Errorf("now/steps differ: static (%d,%d), generic (%d,%d)",
-			ef.Now(), ef.Steps(), es.Now(), es.Steps())
+	compareLogs(t, sleeping.log, ticked.log)
+	if len(ticked.log) == 0 {
+		t.Fatal("no ticks logged")
 	}
+	if sleeping.e.Steps() >= ticked.e.Steps() {
+		t.Errorf("sleeping run took %d steps, ticked %d: nothing slept", sleeping.e.Steps(), ticked.e.Steps())
+	}
+	return sleeping, ticked
 }
 
-func TestStaticSchedulePrefixExcludesIncommensurateDomain(t *testing.T) {
-	var log []string
-	e, _ := nicDomains(&log)
-	e.RunFor(Microsecond)
-	if e.sched == nil {
-		t.Fatal("static schedule not built")
-	}
-	if e.schedN != 3 {
-		t.Errorf("schedN = %d, want 3 (cpu+sdram+mac prefix; host excluded)", e.schedN)
-	}
-	// The merged hyperperiod of 5000/2000/6400 ps.
-	if e.hyper != 160000 {
-		t.Errorf("hyper = %d, want 160000", e.hyper)
-	}
-}
-
-func TestStaticScheduleSharedInstantTicksExtrasAfterMembers(t *testing.T) {
-	// Members a (5 ps) and b (10 ps) merge into a 10 ps hyperperiod. The
-	// third domain's 49999 ps period is coprime with 10, so including it
-	// would need a 499990 ps table (~150k edges > maxSchedEntries): it stays
-	// outside the prefix as an extra. All three share an edge at
-	// t = 10*49999 = 499990, where registration order demands a, b, then c.
-	a := NewDomain("a", 2e11)         // 5 ps
-	b := NewDomain("b", 1e11)         // 10 ps
-	c := NewDomain("c", 1e12/49999.0) // 49999 ps
-	if c.Period() != 49999 {
-		t.Fatalf("c period = %d, want 49999", c.Period())
-	}
-	var log []string
-	e := NewEngine(a, b, c)
-	for _, d := range []*Domain{a, b, c} {
-		record(e, &log, d)
-	}
-	e.RunFor(600000)
-	if e.sched == nil || e.schedN != 2 {
-		t.Fatalf("want 2-member schedule, got sched=%v schedN=%d", e.sched != nil, e.schedN)
-	}
-	var shared []string
-	for _, s := range log {
-		if len(s) > 7 && s[len(s)-7:] == "@499990" {
-			shared = append(shared, s[:1])
+func compareLogs(t *testing.T, sleeping, ticked []string) {
+	t.Helper()
+	for i := 0; i < len(sleeping) && i < len(ticked); i++ {
+		if sleeping[i] != ticked[i] {
+			t.Fatalf("log entry %d differs:\nsleeping: %s\nticked:   %s", i, sleeping[i], ticked[i])
 		}
 	}
-	if len(shared) != 3 || shared[0] != "a" || shared[1] != "b" || shared[2] != "c" {
-		t.Errorf("tick order at t=499990 = %v, want [a b c]", shared)
+	if len(sleeping) != len(ticked) {
+		t.Fatalf("log lengths differ: sleeping %d, ticked %d", len(sleeping), len(ticked))
+	}
+}
+
+// TestSleepersMatchTickedRun is the engine's differential test: sleeping
+// tickers must produce the tick log and end state of the same tickers
+// ticked on every edge.
+func TestSleepersMatchTickedRun(t *testing.T) {
+	long := []Picoseconds{3 * Microsecond, 7 * Microsecond}
+	for _, tc := range []struct {
+		name   string
+		build  func(*diffRig)
+		chunks []Picoseconds
+	}{
+		// The 5000 ps waker shares every other edge with the 2000 ps sleeper;
+		// registered first, its wake at a shared instant precedes the
+		// sleeper's edge there, so the sleeper ticks at that very instant.
+		{"earlier-waker-coincident", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			s := r.domain("sdram", 500e6)
+			r.producer(p, r.job(s, 7, 1, 12), 3)
+		}, long},
+		// Registered after the sleeper, the waker comes too late for the
+		// sleeper's edge at the shared instant: the next edge is the first.
+		{"later-waker-coincident", func(r *diffRig) {
+			s := r.domain("sdram", 500e6)
+			p := r.domain("cpu", 200e6)
+			r.producer(p, r.job(s, 7, 1, 12), 3)
+		}, long},
+		// A sleeper's completion wakes a sleeper in another domain, in both
+		// registration directions.
+		{"sleeper-wakes-sleeper", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			a := r.domain("sdram", 500e6)
+			b := r.domain("mac", 156.25e6)
+			ja := r.job(a, 9, 30)
+			jb := r.job(b, 4, 2)
+			jc := r.job(a, 3)
+			ja.onDone = jb.submit
+			jb.onDone = jc.submit
+			r.producer(p, ja, 4)
+		}, long},
+		// Two sleepers share a domain: one counting down, one idle until
+		// woken. Waking the idle one must cut the domain's sleep short.
+		{"shared-domain", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			m := r.domain("mac", 156.25e6)
+			q := r.domain("host", 133e6)
+			r.producer(p, r.job(m, 40, 25), 11)
+			r.producer(q, r.job(m, 3), 13)
+		}, long},
+		// Event callbacks wake the sleeper, on its edges and between them,
+		// with the event domain registered before and after it.
+		{"event-waker", func(r *diffRig) {
+			early := NewEventDomain("ev-early")
+			r.e.AddDomain(early)
+			s := r.domain("sdram", 500e6)
+			late := NewEventDomain("ev-late")
+			r.e.AddDomain(late)
+			j := r.job(s, 5, 17)
+			for i := Picoseconds(1); i <= 200; i++ {
+				early.Schedule(i*32*Nanosecond, j.submit)  // on a 2000 ps edge
+				late.Schedule(i*38*Nanosecond, j.submit)   // on a 2000 ps edge
+				late.Schedule(i*41*Nanosecond+7, j.submit) // between edges
+				early.Schedule(i*43*Nanosecond+999, j.submit)
+			}
+		}, long},
+		// The controller's 7519 ps host clock against 2000 ps: a host-clock
+		// producer wakes a 2000 ps sleeper, whose completions wake a sleeper
+		// on a second 7519 ps clock.
+		{"incommensurate", func(r *diffRig) {
+			fast := r.domain("sdram", 500e6)
+			prod := r.domain("host", 133e6)
+			slow := r.domain("host2", 133e6)
+			if slow.Period() != 7519 {
+				t.Fatalf("host period = %d, want 7519", slow.Period())
+			}
+			jf := r.job(fast, 6, 19)
+			jf.onDone = r.job(slow, 2, 5).submit
+			r.producer(prod, jf, 5)
+		}, long},
+		// Deadlines that land on edges only the sleeping 2000 ps domain has
+		// (4000 ps is no 5000 ps edge), off every edge, and on shared edges,
+		// run back to back.
+		{"deadline-landing", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			s := r.domain("sdram", 500e6)
+			r.producer(p, r.job(s, 50, 3), 17)
+		}, []Picoseconds{4000, 1, 1999, 2000, 2001, 6000, 8000, 12345, 7519,
+			10000, 4 * Microsecond, 2000, 2000, 3000, Microsecond + 2000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runDiff(t, tc.build, tc.chunks...) })
+	}
+}
+
+// TestSleeperRunUntilMatchesTickedRun: RunUntil stops on the same step and
+// leaves the same state with sleeping tickers, whether the predicate or the
+// time limit ends it.
+func TestSleeperRunUntilMatchesTickedRun(t *testing.T) {
+	build := func(r *diffRig) {
+		p := r.domain("cpu", 200e6)
+		s := r.domain("sdram", 500e6)
+		r.producer(p, r.job(s, 20, 8), 9)
+	}
+	var states [2][]string
+	for i, sleep := range []bool{true, false} {
+		r := newDiffRig(sleep)
+		build(r)
+		j := r.jobs[0]
+		ok := r.e.RunUntil(Millisecond, func() bool { return j.nlen >= 25 })
+		states[i] = append(states[i], fmt.Sprint(ok), r.state())
+		ok = r.e.RunUntil(2*Microsecond+1000, func() bool { return false })
+		states[i] = append(states[i], fmt.Sprint(ok), r.state())
+	}
+	compareLogs(t, states[0], states[1])
+	if states[0][0] != "true" || states[0][2] != "false" {
+		t.Errorf("RunUntil results %v, want [true … false …]", states[0])
+	}
+}
+
+func TestSleepingDomainCountsOnlyExecutedTicks(t *testing.T) {
+	r := newDiffRig(true)
+	s := r.domain("sdram", 500e6)
+	j := r.job(s, 10)
+	r.e.ProfileTicks(true)
+	r.e.RunFor(Microsecond) // 500 edges; one tick, then asleep until woken
+	if got := r.e.TickCosts()[0].Ticks; got != 1 {
+		t.Errorf("executed ticks = %d, want 1", got)
+	}
+	if s.Cycles() != 500 || j.total != 500 {
+		t.Errorf("cycles = %d, job total = %d, want 500 each after settling", s.Cycles(), j.total)
 	}
 }
 
@@ -206,92 +407,64 @@ func TestRunUntilDeadlineOverflowClamps(t *testing.T) {
 	}
 }
 
-// idleTicker implements Quiescer/IdleSkipper: busy for the first busyFor
-// cycles, then quiescent, counting cycles both ways.
-type idleTicker struct {
-	busyFor uint64
-	cycles  uint64
+// countdown is a self-sustaining Sleeper that is busy forever in jobs of
+// period cycles, like an SDRAM streaming back-to-back bursts.
+type countdown struct {
+	period, remain int
+	total          uint64
 }
 
-func (i *idleTicker) Tick(uint64)            { i.cycles++ }
-func (i *idleTicker) Quiescent() bool        { return i.cycles >= i.busyFor }
-func (i *idleTicker) SkipIdle(cycles uint64) { i.cycles += cycles }
-
-func TestIdleSkipMatchesTickedRun(t *testing.T) {
-	run := func(skip bool) (uint64, Picoseconds, uint64) {
-		d := NewDomain("clk", 200e6)
-		it := &idleTicker{busyFor: 100}
-		if !skip {
-			// Registering a bare Ticker disables idle-skip for the domain.
-			d.Add(TickFunc(func(uint64) {}))
-		}
-		d.Add(it)
-		e := NewEngine(d)
-		e.RunFor(10*Microsecond + 1) // deadline off any edge: overshoot lands past it
-		return it.cycles, e.Now(), d.Cycles()
+func (c *countdown) Tick(uint64) {
+	c.total++
+	if c.remain == 0 {
+		c.remain = c.period
 	}
-	tc, tn, tcy := run(false)
-	sc, sn, scy := run(true)
-	if tc != sc || tn != sn || tcy != scy {
-		t.Errorf("skip run (cycles=%d now=%d domain=%d) != ticked run (cycles=%d now=%d domain=%d)",
-			sc, sn, scy, tc, tn, tcy)
-	}
-	if sn <= 10*Microsecond {
-		t.Errorf("now = %d, want overshoot past the deadline", sn)
-	}
+	c.remain--
 }
-
-func TestIdleSkipWakesForScheduledEvent(t *testing.T) {
-	d := NewDomain("clk", 200e6)
-	it := &idleTicker{busyFor: 0} // quiescent from the start
-	d.Add(it)
-	ev := NewEventDomain("ev")
-	e := NewEngine(d, ev)
-	fired := Picoseconds(0)
-	ev.Schedule(5*Microsecond+123, func() { fired = e.Now() })
-	e.RunFor(10 * Microsecond)
-	if fired == 0 {
-		t.Fatal("event never fired across an idle-skip window")
+func (c *countdown) Sleep() uint64 {
+	if c.remain == 0 {
+		return 0
 	}
-	if fired != 5*Microsecond+123 {
-		t.Errorf("event fired at %d, want %d", fired, 5*Microsecond+123)
-	}
-	if it.cycles != d.Cycles() {
-		t.Errorf("skip bookkeeping lost cycles: ticker %d, domain %d", it.cycles, d.Cycles())
-	}
+	return uint64(c.remain - 1)
 }
+func (c *countdown) Skip(n uint64)  { c.total += n; c.remain -= int(n) }
+func (c *countdown) SetWake(func()) {}
 
-func BenchmarkStepStatic(b *testing.B) {
-	var log []string
-	_ = log
-	cpu := NewDomain("cpu", 200e6)
+// benchDomains is the controller's four-clock-domain shape. With sleepers,
+// the sdram and mac domains run countdown tickers (a 24-cycle burst and a
+// 190-cycle frame); otherwise every domain has one no-op ticker.
+func benchDomains(sleepers bool) *Engine {
+	cpu := NewDomain("cpu", 166e6)
 	sdram := NewDomain("sdram", 500e6)
 	mac := NewDomain("mac", 156.25e6)
 	host := NewDomain("host", 133e6)
-	for _, d := range []*Domain{cpu, sdram, mac, host} {
-		d.Add(TickFunc(func(uint64) {}))
+	noop := TickFunc(func(uint64) {})
+	cpu.Add(noop)
+	host.Add(noop)
+	if sleepers {
+		sdram.Add(&countdown{period: 24})
+		mac.Add(&countdown{period: 190})
+	} else {
+		sdram.Add(noop)
+		mac.Add(noop)
 	}
-	e := NewEngine(cpu, sdram, mac, host)
+	return NewEngine(cpu, sdram, mac, host)
+}
+
+func benchmarkStep(b *testing.B, sleepers bool) {
+	e := benchDomains(sleepers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
+	b.ReportMetric(float64(e.Now())/float64(Nanosecond)/float64(b.N), "sim-ns/step")
 }
 
-func BenchmarkStepGeneric(b *testing.B) {
-	cpu := NewDomain("cpu", 200e6)
-	sdram := NewDomain("sdram", 500e6)
-	mac := NewDomain("mac", 156.25e6)
-	host := NewDomain("host", 133e6)
-	for _, d := range []*Domain{cpu, sdram, mac, host} {
-		d.Add(TickFunc(func(uint64) {}))
-	}
-	e := NewEngine(cpu, sdram, mac, host)
-	e.SetStaticSchedule(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
+// BenchmarkStep times one engine step on the four-domain shape, every
+// domain ticking every edge.
+func BenchmarkStep(b *testing.B) { benchmarkStep(b, false) }
+
+// BenchmarkStepSleeping is BenchmarkStep with countdown sleepers in the
+// sdram and mac domains: fewer, slightly dearer steps per simulated ns.
+func BenchmarkStepSleeping(b *testing.B) { benchmarkStep(b, true) }

@@ -9,33 +9,24 @@
 //
 // # Scheduling
 //
-// Clock periods are fixed at construction, so the interleave pattern of the
-// clocked domains repeats with the hyperperiod (the LCM of the periods). When
-// that pattern is small enough the engine precomputes it once as a static
-// edge schedule — a table of (instant, due-domain bitmask) entries replayed
-// with zero allocation, zero sorting, and zero scanning. Operating points
-// whose hyperperiod is too large for a table, and any step where an
-// event-driven domain has a pending edge, fall back to a generic
-// allocation-free min-scan that produces the identical tick sequence; the
-// determinism tests assert byte-identical results across both paths.
+// Each step is an allocation-free min-scan: the engine advances to the
+// earliest instant any domain needs and processes every domain due there, in
+// registration order. Event-driven domains keep their pending callbacks in a
+// binary min-heap ordered by (time, schedule order).
 //
-// Event-driven domains keep their pending callbacks in a binary min-heap
-// ordered by (time, schedule order).
+// # Sleeping domains
 //
-// # Idle-skip
-//
-// Tickers may opt into idle-skip fast-forward by implementing Quiescer (and
-// usually IdleSkipper). When every ticker of every clocked domain reports
-// quiescence, RunFor and RunUntil jump simulated time to the next scheduled
-// event (or the deadline) instead of ticking through empty cycles. Tickers
-// that do not implement Quiescer are treated as always busy, so the default
-// behavior is unchanged.
+// A ticker may implement Sleeper to tell the engine which of its upcoming
+// ticks are pure countdown, or that it is idle until woken. A domain whose
+// tickers all sleep is not stepped again until its next needed edge or a
+// wake; the skipped ticks' bookkeeping is replayed (Sleeper.Skip) before the
+// domain's next real tick, on a wake, and when RunFor or RunUntil returns, so
+// a sleeping run is indistinguishable from one that ticks every edge.
 package sim
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -73,28 +64,40 @@ type TickFunc func(cycle uint64)
 // Tick calls f(cycle).
 func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 
-// A Quiescer is a Ticker that can report having no work. Quiescent must be
-// true only when the next Tick (and every Tick after it, absent external
-// stimulus such as an event callback or another domain's activity) would
-// change no state other than the per-cycle bookkeeping its SkipIdle
-// replicates. Tickers that do not implement Quiescer are treated as always
-// busy, so idle-skip is strictly opt-in.
-type Quiescer interface {
-	Quiescent() bool
+// A Sleeper is a Ticker that can spare the engine ticks that would only do
+// bookkeeping. The engine asks Sleep right after each of the ticker's real
+// ticks; a domain sleeps only while every one of its tickers is a Sleeper,
+// for the smallest number of ticks they allow.
+type Sleeper interface {
+	Ticker
+	// Sleep reports how many of the ticker's next ticks are pure countdown:
+	// ticks whose only effect is bookkeeping that Skip replays, whatever
+	// other tickers and events do meanwhile. It returns UntilWoken when
+	// every tick is such a tick until the ticker calls its wake function,
+	// and 0 when the next tick must run.
+	Sleep() uint64
+	// Skip replays the bookkeeping of n ticks the engine did not run. The
+	// replayed ticks never exceed what Sleep allowed, though one sleep may
+	// be replayed in several parts.
+	Skip(n uint64)
+	// SetWake receives the wake function when the ticker is added to a
+	// Domain that can sleep; a ticker without one is never skipped. A
+	// ticker that reported UntilWoken calls it when it gets work; the
+	// domain then ticks again at the first edge a fully ticked run has not
+	// yet processed. Every call also replays the bookkeeping skipped up to
+	// that instant, so a ticker calls it before stamping anything with its
+	// own replayed state.
+	SetWake(wake func())
 }
 
-// An IdleSkipper is a Quiescer whose idle Tick still performs bookkeeping
-// (total-cycle counters and the like). SkipIdle(n) must have exactly the
-// effect of n consecutive Ticks issued while Quiescent held, so that a
-// fast-forwarded run is byte-identical to a ticked one. Quiescent tickers
-// without SkipIdle are skipped with no effect.
-type IdleSkipper interface {
-	SkipIdle(cycles uint64)
-}
+// UntilWoken is the Sleep result of a ticker that is idle until it calls its
+// wake function.
+const UntilWoken = math.MaxUint64
 
-// NoEdge is the next-edge sentinel of an event-driven domain with nothing
-// scheduled: it never wins the engine's min-edge selection, so an empty
-// event domain costs one comparison per step and nothing else.
+// NoEdge is the next-edge sentinel of a domain with nothing due: an
+// event-driven domain with nothing scheduled, or a clocked domain asleep
+// until woken. It never wins the engine's min-edge selection, so such a
+// domain costs one comparison per step and nothing else.
 const NoEdge = Picoseconds(1<<64 - 1)
 
 // A Domain is a clock domain with a fixed frequency, or an event-driven
@@ -107,17 +110,19 @@ type Domain struct {
 	name    string
 	period  Picoseconds
 	hz      float64
-	next    Picoseconds
-	cycle   uint64
+	next    Picoseconds // the instant the engine next processes the domain
+	edge    Picoseconds // clocked: earliest edge neither ticked nor skipped
+	cycle   uint64      // clocked: the cycle number of edge
 	tickers []Ticker
 	order   int
 
-	// Idle-skip state, parallel to tickers: quiescers[i] is tickers[i]'s
-	// Quiescer (nil when unimplemented, which forces canSkip false), and
-	// skippers[i] its IdleSkipper (nil means skipping is a pure no-op).
-	quiescers []Quiescer
-	skippers  []IdleSkipper
-	canSkip   bool
+	// sleepers parallels tickers while every ticker is a Sleeper; noSleep
+	// records that one is not, and the domain then ticks every edge. idle
+	// has bit i set while sleepers[i] sleeps until woken. A clocked domain
+	// is asleep while next != edge.
+	sleepers []Sleeper
+	noSleep  bool
+	idle     uint64
 
 	eventDriven bool
 	events      []schedEvent // binary min-heap ordered by (at, seq)
@@ -142,7 +147,7 @@ func NewDomain(name string, hz float64) *Domain {
 	if period == 0 {
 		period = 1
 	}
-	return &Domain{name: name, period: period, hz: hz, canSkip: true}
+	return &Domain{name: name, period: period, hz: hz}
 }
 
 // NewEventDomain creates an event-driven domain: instead of a fixed clock it
@@ -244,80 +249,117 @@ func (d *Domain) Hz() float64 { return d.hz }
 // Period returns the integer-picosecond clock period.
 func (d *Domain) Period() Picoseconds { return d.period }
 
-// Cycles returns the number of cycles the domain has executed.
+// Cycles returns the number of cycles the domain has executed, counting the
+// cycles it slept through up to the last return of RunFor or RunUntil.
 func (d *Domain) Cycles() uint64 { return d.cycle }
 
 // Add registers a ticker with the domain. Tickers run in registration order
-// within a cycle, which keeps simulations deterministic.
+// within a cycle, which keeps simulations deterministic. A Sleeper receives
+// the domain's wake function here, unless the domain already holds a ticker
+// that does not sleep (or 64 sleepers), which keeps it awake on every edge.
 func (d *Domain) Add(t Ticker) {
 	d.tickers = append(d.tickers, t)
-	q, ok := t.(Quiescer)
-	if !ok {
-		d.canSkip = false
+	s, ok := t.(Sleeper)
+	if !ok || d.noSleep || len(d.sleepers) == 64 { // idle holds one bit per sleeper
+		d.sleepers, d.noSleep = nil, true
+		return
 	}
-	d.quiescers = append(d.quiescers, q)
-	s, _ := t.(IdleSkipper)
-	d.skippers = append(d.skippers, s)
+	bit := uint64(1) << uint(len(d.sleepers))
+	s.SetWake(func() { d.wake(bit) })
+	d.sleepers = append(d.sleepers, s)
 }
 
-// tick runs one cycle of a clocked domain.
+// tick runs one cycle of a clocked domain at d.next, first replaying the
+// edges it slept through, and then asks its sleepers how long it may sleep.
 //
 //nic:hotpath
 func (d *Domain) tick() {
+	if d.edge != d.next {
+		d.skipTo(d.next)
+	}
 	c := d.cycle
 	for _, t := range d.tickers {
 		t.Tick(c)
 	}
 	d.cycle = c + 1
-	d.next += d.period
+	d.edge += d.period
+	d.next = d.edge
+	if d.sleepers != nil {
+		d.sleep()
+	}
 }
 
-// skipIdle advances the domain across k quiescent cycles without ticking,
-// applying each ticker's bookkeeping compensation.
+// sleep moves d.next to the domain's next needed edge: the end of the
+// shortest countdown, or NoEdge when every sleeper waits to be woken.
 //
 //nic:hotpath
-func (d *Domain) skipIdle(k uint64) {
-	for _, s := range d.skippers {
-		if s != nil {
-			s.SkipIdle(k)
+func (d *Domain) sleep() {
+	n := uint64(UntilWoken)
+	var idle uint64
+	for i, s := range d.sleepers {
+		k := s.Sleep()
+		if k == 0 {
+			return
 		}
+		if k == UntilWoken {
+			idle |= 1 << uint(i)
+		} else if k < n {
+			n = k
+		}
+	}
+	d.idle = idle
+	if n == UntilWoken {
+		d.next = NoEdge
+		return
+	}
+	d.next = d.edge + Picoseconds(n)*d.period
+}
+
+// skipTo replays the bookkeeping of the edges in [d.edge, t); t is an edge
+// of the domain.
+//
+//nic:hotpath
+func (d *Domain) skipTo(t Picoseconds) {
+	k := uint64((t - d.edge) / d.period)
+	for _, s := range d.sleepers {
+		s.Skip(k)
 	}
 	d.cycle += k
-	d.next += Picoseconds(k) * d.period
+	d.edge = t
 }
 
-// quiescent reports whether every ticker of a clocked domain is idle. A
-// domain with any non-Quiescer ticker is never quiescent.
-func (d *Domain) quiescent() bool {
-	if !d.canSkip {
-		return false
+// wake is the wake function of the sleeper with the given idle bit. It
+// replays the edges a fully ticked run has processed by now; if that sleeper
+// was idle until woken, the domain ticks again at the first edge the ticked
+// run has not processed. That is the edge at now itself only while the
+// engine has yet to reach the domain in this step's registration-order pass.
+//
+//nic:hotpath
+func (d *Domain) wake(bit uint64) {
+	e := d.eng
+	if e == nil || d.next == d.edge {
+		return // awake: it ticks at its next edge anyway
 	}
-	for _, q := range d.quiescers {
-		if !q.Quiescent() {
-			return false
+	t := d.edge
+	if t <= e.now {
+		k := uint64((e.now - t) / d.period)
+		t += Picoseconds(k) * d.period // the last edge at or before now
+		if t < e.now || d.order < e.cur {
+			t += d.period
+		}
+		d.skipTo(t)
+	}
+	if d.idle&bit != 0 {
+		d.idle &^= bit
+		if t < d.next {
+			d.next = t
 		}
 	}
-	return true
 }
-
-// schedEdge is one instant of the static hyperperiod schedule: a time
-// relative to the schedule base and the bitmask of member domains (indices
-// into Engine.clocked, which is registration order) due at that instant.
-type schedEdge struct {
-	at   Picoseconds
-	mask uint32
-}
-
-// maxSchedEntries bounds the static schedule size. The schedule covers the
-// longest registration-order prefix of clocked domains whose merged
-// hyperperiod fits; domains whose period is incommensurate with the rest
-// (the controller's 7519 ps host clock against the 5000/2000/6400 ps NIC
-// clocks would need a ~1.2 ms table) stay outside the table and are merged
-// with a single comparison per step.
-const maxSchedEntries = 1 << 16
 
 // DomainCost is one domain's share of simulation wall time, collected when
-// tick profiling is enabled.
+// tick profiling is enabled. Ticks counts the domain's executed ticks, each
+// one timed interval; cycles a domain slept through are not ticks.
 type DomainCost struct {
 	Name   string        `json:"name"`
 	Ticks  uint64        `json:"ticks"`
@@ -330,49 +372,31 @@ type tickCost struct {
 	ticks uint64
 }
 
+// settled is Engine.cur outside a step: every edge at or before now has been
+// processed.
+const settled = math.MaxInt
+
 // An Engine advances a set of clock domains through simulated time.
 type Engine struct {
 	domains []*Domain // all domains, registration order
 	clocked []*Domain // clocked subset, registration order
-	eventD  []*Domain // event-driven subset, registration order
 	now     Picoseconds
 	steps   uint64
 	stop    atomic.Bool
 
-	// Static hyperperiod schedule state. sched is nil when the schedule is
-	// disabled, not yet built, or no usable prefix fits maxSchedEntries. The
-	// table covers e.clocked[:schedN] (the member domains); later clocked
-	// domains are merged with one comparison per step, and tick after the
-	// members on shared instants — which is registration order, because
-	// members are a registration-order prefix.
-	sched      []schedEdge
-	schedN     int // member count: the table covers e.clocked[:schedN]
-	hyper      Picoseconds
-	schedBase  Picoseconds
-	schedPos   int
-	schedOK    bool // cursor is in sync with the member domains' next edges
-	schedDirty bool // clocked-domain set changed; rebuild before stepping
-	noStatic   bool
-
-	// ffProbe throttles quiescence probing in the run loops: while the
-	// engine keeps failing the probe (the common case for a loaded machine),
-	// re-checking every step is pure overhead, and a delayed skip is
-	// harmless — ticking a quiescent machine and skipping it are equivalent
-	// by the IdleSkipper contract.
-	ffProbe uint32
+	// cur is the registration order of the domain the current step is
+	// processing, or settled between steps; a wake uses it to tell whether
+	// the woken domain's edge at now is still ahead in this step.
+	cur int
 
 	profiling bool
 	costs     []tickCost
 }
 
-// ffProbeBackoff is the number of steps between quiescence probes after a
-// failed probe.
-const ffProbeBackoff = 64
-
 // NewEngine creates an engine over the given domains. Domains may be added
 // later with AddDomain, but only before Run is first called.
 func NewEngine(domains ...*Domain) *Engine {
-	e := &Engine{}
+	e := &Engine{cur: settled}
 	for _, d := range domains {
 		e.AddDomain(d)
 	}
@@ -387,35 +411,25 @@ func (e *Engine) AddDomain(d *Domain) {
 	d.eng = e
 	if !d.eventDriven {
 		d.next = e.now + d.period
+		d.edge = d.next
 		e.clocked = append(e.clocked, d)
-		e.schedDirty = true
-		e.schedOK = false
-	} else {
-		e.eventD = append(e.eventD, d)
 	}
 	e.domains = append(e.domains, d)
 	e.costs = append(e.costs, tickCost{})
 }
 
-// SetStaticSchedule toggles the precomputed hyperperiod fast path (on by
-// default). Disabling it forces every step through the generic min-scan; the
-// tick sequence and all results are identical either way — the scheduler
-// determinism tests assert exactly that.
-func (e *Engine) SetStaticSchedule(on bool) {
-	e.noStatic = !on
-	e.sched = nil
-	e.schedOK = false
-	e.schedDirty = true
-}
+// SetStaticSchedule is a no-op. It selected the precomputed hyperperiod
+// table, which sleeping domains replaced; the engine has one step path.
+func (e *Engine) SetStaticSchedule(bool) {}
 
 // ProfileTicks enables (or disables) per-domain tick cost collection,
-// retrievable with TickCosts. Profiling adds two clock reads per domain tick
-// and routes every step through the generic path (same tick sequence, no
-// static-table replay), so leave it off for recorded results.
+// retrievable with TickCosts. Profiling adds two clock reads per executed
+// domain tick and changes nothing else, but leave it off for recorded
+// results.
 func (e *Engine) ProfileTicks(on bool) { e.profiling = on }
 
-// TickCosts returns per-domain tick counts and accumulated wall time. Wall
-// time is only collected while ProfileTicks is enabled.
+// TickCosts returns per-domain executed-tick counts and accumulated wall
+// time. Wall time is only collected while ProfileTicks is enabled.
 func (e *Engine) TickCosts() []DomainCost {
 	out := make([]DomainCost, len(e.domains))
 	for i, d := range e.domains {
@@ -429,8 +443,9 @@ func (e *Engine) TickCosts() []DomainCost {
 	return out
 }
 
-// Steps returns the number of discrete time steps the engine has executed
-// (idle-skip jumps count as one step regardless of distance).
+// Steps returns the number of discrete time steps the engine has executed:
+// instants at which some domain ticked or fired events. Edges only sleeping
+// domains have are not steps.
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Now returns the current simulated time.
@@ -446,222 +461,54 @@ func (e *Engine) Stop() { e.stop.Store(true) }
 // RunUntil began.
 func (e *Engine) Stopped() bool { return e.stop.Load() }
 
-// gcd of two periods.
-func gcd(a, b Picoseconds) Picoseconds {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// buildSched precomputes the hyperperiod edge schedule for the longest
-// registration-order prefix of clocked domains whose merged table fits
-// maxSchedEntries, or leaves sched nil when no prefix helps (or the static
-// path is disabled). Entries cover the half-open window
-// (schedBase, schedBase+hyper]; the pattern repeats exactly because every
-// member period divides the hyperperiod.
-func (e *Engine) buildSched() {
-	e.schedDirty = false
-	e.sched = nil
-	e.schedOK = false
-	if e.noStatic || len(e.clocked) == 0 {
-		return
-	}
-	edgesFor := func(h Picoseconds, k int) uint64 {
-		var edges uint64
-		for _, d := range e.clocked[:k] {
-			edges += uint64(h/d.period) + 1 // +1 covers mid-phase offsets
-		}
-		return edges
-	}
-	// Greedily extend the member prefix while the merged table stays small.
-	h := e.clocked[0].period
-	k := 1
-	for k < len(e.clocked) && k < 32 {
-		d := e.clocked[k]
-		g := gcd(h, d.period)
-		l := uint64(h / g) // dimensionless: how many d.period fit the lcm
-		if l > uint64(NoEdge)/uint64(d.period) {
-			break // hyperperiod overflows; keep the shorter prefix
-		}
-		h2 := Picoseconds(l) * d.period
-		if edgesFor(h2, k+1) > maxSchedEntries {
-			break
-		}
-		h = h2
-		k++
-	}
-	base := e.now
-	// Offsets of each member's next edge from the base; every offset is in
-	// (0, period], so the edge pattern over (base, base+h] repeats with h.
-	cur := make([]Picoseconds, k)
-	for i, d := range e.clocked[:k] {
-		cur[i] = d.next - base
-	}
-	sched := make([]schedEdge, 0, edgesFor(h, k))
-	for {
-		min := NoEdge
-		for _, c := range cur {
-			if c < min {
-				min = c
-			}
-		}
-		if min > h {
-			break
-		}
-		var mask uint32
-		for i, c := range cur {
-			if c == min {
-				mask |= 1 << uint(i)
-				cur[i] += e.clocked[i].period
-			}
-		}
-		sched = append(sched, schedEdge{at: min, mask: mask})
-	}
-	if len(sched) == 0 {
-		return
-	}
-	e.sched = sched
-	e.schedN = k
-	e.hyper = h
-	e.schedBase = base
-	e.schedPos = 0
-	e.schedOK = true
-}
-
-// resyncSched repositions the schedule cursor after an idle-skip jump moved
-// the clocked domains' edges without consuming entries.
-func (e *Engine) resyncSched() {
-	if e.sched == nil {
-		return
-	}
-	t := NoEdge
-	for _, d := range e.clocked[:e.schedN] {
-		if d.next < t {
-			t = d.next
-		}
-	}
-	if t == NoEdge {
-		return
-	}
-	rel := t - e.schedBase
-	windows := uint64(rel / e.hyper) // dimensionless: whole hyperperiods skipped
-	e.schedBase += Picoseconds(windows) * e.hyper
-	rel = t - e.schedBase
-	if rel == 0 { // t lands exactly on a base: it is the final entry of the previous window
-		e.schedBase -= e.hyper
-		rel = e.hyper
-	}
-	e.schedPos = sort.Search(len(e.sched), func(i int) bool { return e.sched[i].at >= rel })
-	if e.schedPos < len(e.sched) && e.sched[e.schedPos].at == rel {
-		e.schedOK = true
-	}
-}
-
-// minEventNext returns the earliest pending event-domain edge.
-func (e *Engine) minEventNext() Picoseconds {
-	min := NoEdge
-	for _, d := range e.eventD {
-		if d.next < min {
-			min = d.next
-		}
-	}
-	return min
-}
-
-// Step advances simulated time to the next clock edge of any domain and ticks
-// every domain whose edge falls on that instant, in registration order.
-// It reports whether any work was done (false when no domains exist).
+// nextDue returns the earliest instant any domain needs.
 //
 //nic:hotpath
-func (e *Engine) Step() bool {
-	if e.schedDirty {
-		e.buildSched()
-	} else if e.sched != nil && !e.schedOK {
-		e.resyncSched()
-	}
-	if e.schedOK && !e.profiling {
-		t := e.schedBase + e.sched[e.schedPos].at
-		// The static table only knows member edges. Clocked domains outside
-		// the prefix may share the instant — they tick after the members,
-		// which is registration order — but an earlier edge of theirs, or any
-		// event edge at or before t, needs the generic path.
-		ok := true
-		extraDue := false
-		for _, d := range e.clocked[e.schedN:] {
-			if d.next < t {
-				ok = false
-				break
-			}
-			if d.next == t {
-				extraDue = true
-			}
-		}
-		if ok && (len(e.eventD) == 0 || e.minEventNext() > t) {
-			e.now = t
-			e.steps++
-			mask := e.sched[e.schedPos].mask
-			e.schedPos++
-			if e.schedPos == len(e.sched) {
-				e.schedPos = 0
-				e.schedBase += e.hyper
-			}
-			for mask != 0 {
-				i := bits.TrailingZeros32(mask)
-				mask &^= 1 << uint(i)
-				e.clocked[i].tick()
-			}
-			if extraDue {
-				for _, d := range e.clocked[e.schedN:] {
-					if d.next == t {
-						d.tick()
-					}
-				}
-			}
-			return true
-		}
-	}
-	return e.stepGeneric()
-}
-
-// stepGeneric is the fallback step: an allocation-free min-scan over every
-// domain. Simultaneous edges run in registration order because e.domains is
-// in registration order.
-//
-//nic:hotpath
-func (e *Engine) stepGeneric() bool {
-	if len(e.domains) == 0 {
-		return false
-	}
-	next := e.domains[0].next
-	for _, d := range e.domains[1:] {
+func (e *Engine) nextDue() Picoseconds {
+	next := NoEdge
+	for _, d := range e.domains {
 		if d.next < next {
 			next = d.next
 		}
 	}
-	if next == NoEdge {
+	return next
+}
+
+// Step advances simulated time to the next instant any domain needs and
+// processes every domain due then, in registration order. It reports
+// whether any work was done (false when nothing is due ever again). Sleeping
+// domains' bookkeeping is brought up to date when RunFor or RunUntil
+// returns, not after a bare Step.
+//
+//nic:hotpath
+func (e *Engine) Step() bool {
+	t := e.nextDue()
+	if t == NoEdge {
 		return false
 	}
-	e.now = next
+	e.step(t)
+	return true
+}
+
+// step processes instant t. Simultaneous edges run in registration order
+// because e.domains is in registration order; a domain woken for t by an
+// earlier one is picked up when the pass reaches it.
+//
+//nic:hotpath
+func (e *Engine) step(t Picoseconds) {
+	e.now = t
 	e.steps++
-	// Keep the static cursor in sync when this step consumed a static edge.
-	if e.schedOK && next == e.schedBase+e.sched[e.schedPos].at {
-		e.schedPos++
-		if e.schedPos == len(e.sched) {
-			e.schedPos = 0
-			e.schedBase += e.hyper
-		}
-	}
 	for _, d := range e.domains {
-		if d.next != next {
+		if d.next != t {
 			continue
 		}
+		e.cur = d.order
 		var t0 time.Time
 		if e.profiling {
 			t0 = time.Now() //nic:wallclock profiling measures real per-domain cost
 		}
 		if d.eventDriven {
-			d.runEvents(next)
+			d.runEvents(t)
 			d.cycle++
 		} else {
 			d.tick()
@@ -672,76 +519,65 @@ func (e *Engine) stepGeneric() bool {
 			c.ticks++
 		}
 	}
-	return true
+	e.cur = settled
 }
 
-// quiescent reports whether every clocked domain is fully idle. Engines with
-// no clocked domain are never quiescent (pure event engines terminate by
-// exhausting their events instead).
-func (e *Engine) quiescent() bool {
-	if len(e.clocked) == 0 {
-		return false
-	}
-	for _, d := range e.clocked {
-		if !d.quiescent() {
+// advance runs the next step before deadline or, when nothing is due before
+// it, the step a fully ticked run ends on: the first edge of any domain at or
+// past the deadline. If only sleeping domains have an edge there, time lands
+// on it without a step. It reports false when nothing is due ever again.
+//
+//nic:hotpath
+func (e *Engine) advance(deadline Picoseconds) bool {
+	t := e.nextDue()
+	if t >= deadline {
+		if l := e.landing(deadline); l < t {
+			e.now = l
+			return true
+		}
+		if t == NoEdge {
 			return false
 		}
 	}
+	e.step(t)
 	return true
 }
 
-// fastForward jumps across an idle stretch: it advances every clocked domain
-// over its edges strictly before the next event edge (or, with no event
-// pending before the deadline, through the first edge at or past the
-// deadline, exactly the edge a ticked run would overshoot onto). It reports
-// whether any progress was made; false means the next instant needs a real
-// step (an event is due now).
-func (e *Engine) fastForward(deadline Picoseconds) bool {
-	target := deadline
-	final := true // jumping to the deadline itself, not to an event
-	if ev := e.minEventNext(); ev <= target {
-		target = ev
-		final = false
-	}
-	if target <= e.now {
-		return false
-	}
-	moved := false
+// landing returns the first clocked edge at or past deadline, sleeping
+// domains included.
+//
+//nic:hotpath
+func (e *Engine) landing(deadline Picoseconds) Picoseconds {
+	l := NoEdge
 	for _, d := range e.clocked {
-		if d.next >= target {
-			continue
-		}
-		k := uint64((target-1-d.next)/d.period) + 1 // edges in [d.next, target)
-		d.skipIdle(k)
-		moved = true
-	}
-	if final {
-		// Replicate the run loop's overshoot: the first edge at or past the
-		// deadline still elapses (as a skip), and time lands on it.
-		t := NoEdge
-		for _, d := range e.clocked {
-			if d.next < t {
-				t = d.next
+		t := d.edge
+		if t < deadline {
+			if deadline > NoEdge-d.period {
+				continue // the edge is past the end of time
 			}
+			k := uint64((deadline-t-1)/d.period) + 1
+			t += Picoseconds(k) * d.period
 		}
-		if t != NoEdge {
-			for _, d := range e.clocked {
-				if d.next == t {
-					d.skipIdle(1)
-				}
-			}
-			e.now = t
-			e.steps++
-			moved = true
+		if t < l {
+			l = t
 		}
 	}
-	if moved {
-		e.schedOK = false // cursor resyncs lazily on the next step
-	}
-	return moved
+	return l
 }
 
-// maxDeadline clamps e.now + dur against Picoseconds overflow: a huge
+// settle replays the bookkeeping of every edge at or before now that a
+// sleeping domain skipped, so state read between runs (reports, snapshots,
+// Cycles) matches a fully ticked run.
+func (e *Engine) settle() {
+	for _, d := range e.clocked {
+		if d.edge <= e.now {
+			k := uint64((e.now-d.edge)/d.period) + 1
+			d.skipTo(d.edge + Picoseconds(k)*d.period)
+		}
+	}
+}
+
+// deadlineAfter clamps e.now + dur against Picoseconds overflow: a huge
 // duration saturates at the maximum representable instant instead of
 // wrapping into the past (which would silently run nothing).
 func (e *Engine) deadlineAfter(dur Picoseconds) Picoseconds {
@@ -753,49 +589,36 @@ func (e *Engine) deadlineAfter(dur Picoseconds) Picoseconds {
 }
 
 // RunFor advances the simulation by the given amount of simulated time, or
-// until Stop is called.
+// until Stop is called. It stops on the instant a fully ticked run stops on:
+// the first edge at or past the deadline.
 func (e *Engine) RunFor(dur Picoseconds) {
 	deadline := e.deadlineAfter(dur)
 	e.stop.Store(false)
-	e.ffProbe = 0
 	for !e.stop.Load() && e.now < deadline {
-		if e.ffProbe > 0 {
-			e.ffProbe--
-		} else if e.quiescent() && e.fastForward(deadline) {
-			continue
-		} else {
-			e.ffProbe = ffProbeBackoff - 1
-		}
-		if !e.Step() {
-			return
+		if !e.advance(deadline) {
+			break
 		}
 	}
+	e.settle()
 }
 
 // RunUntil advances the simulation until the predicate returns true (checked
 // after every time step), Stop is called, or the time limit elapses. It
-// reports whether the predicate was satisfied.
+// reports whether the predicate was satisfied. The predicate runs before
+// sleeping domains' bookkeeping is brought up to date, so it should read
+// state their real ticks change, not counters Skip replays.
 func (e *Engine) RunUntil(limit Picoseconds, done func() bool) bool {
 	deadline := e.deadlineAfter(limit)
 	e.stop.Store(false)
-	e.ffProbe = 0
 	for !e.stop.Load() && e.now < deadline {
-		if e.ffProbe > 0 {
-			e.ffProbe--
-		} else if e.quiescent() && e.fastForward(deadline) {
-			if done() {
-				return true
-			}
-			continue
-		} else {
-			e.ffProbe = ffProbeBackoff - 1
-		}
-		if !e.Step() {
-			return done()
+		if !e.advance(deadline) {
+			break
 		}
 		if done() {
+			e.settle()
 			return true
 		}
 	}
+	e.settle()
 	return done()
 }
