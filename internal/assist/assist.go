@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -43,6 +44,7 @@ type ScratchPort struct {
 	// callback is one pre-bound closure over cur — not an allocation per op.
 	cur    spOp
 	onDone func(waited uint64)
+	wake   func() // the owning assist's wake function (sim.Sleeper)
 
 	// TraceMem observes completed accesses for coherence traces.
 	TraceMem func(trace.MemRef)
@@ -78,6 +80,9 @@ func (p *ScratchPort) complete(uint64) {
 		p.TraceMem(trace.MemRef{Proc: p.proc, Addr: op.addr, Write: op.write})
 	}
 	p.busy = false
+	if p.qhead < len(p.queue) && p.wake != nil {
+		p.wake()
+	}
 	if op.onDone != nil {
 		op.onDone()
 	}
@@ -85,13 +90,26 @@ func (p *ScratchPort) complete(uint64) {
 
 // Read enqueues a scratchpad read; onDone (may be nil) runs at completion.
 func (p *ScratchPort) Read(addr uint32, onDone func()) {
-	p.queue = append(p.queue, spOp{addr: addr, onDone: onDone})
+	p.push(spOp{addr: addr, onDone: onDone})
 }
 
 // Write enqueues a scratchpad write.
 func (p *ScratchPort) Write(addr uint32, onDone func()) {
-	p.queue = append(p.queue, spOp{addr: addr, write: true, onDone: onDone})
+	p.push(spOp{addr: addr, write: true, onDone: onDone})
 }
+
+// push queues op, first waking the owner when the port is free to issue it.
+func (p *ScratchPort) push(op spOp) {
+	if !p.busy && p.wake != nil {
+		p.wake()
+	}
+	p.queue = append(p.queue, op)
+}
+
+// idle reports whether the port's next tick would issue nothing: an access
+// is outstanding or none is queued. Only Read, Write and a completion end
+// that.
+func (p *ScratchPort) idle() bool { return p.busy || p.qhead == len(p.queue) }
 
 // Pending returns the number of queued (unissued) accesses.
 func (p *ScratchPort) Pending() int { return len(p.queue) - p.qhead }
@@ -135,6 +153,7 @@ type engine struct {
 	// callback (a lost completion), dup delivers it twice. The pipeline slot
 	// is always released — the fault is in the notification, not the engine.
 	faultCompletion func() (drop, dup bool)
+	wake            func() // the owning assist's wake function (sim.Sleeper)
 	// obs, when non-nil, records the in-flight job count as a counter track
 	// whenever it changes. Purely observational.
 	obs      *obs.Recorder
@@ -149,7 +168,17 @@ func newEngine(name string, depth int) *engine {
 }
 
 // enqueue adds a job.
-func (e *engine) enqueue(j job) { e.queue = append(e.queue, j) }
+func (e *engine) enqueue(j job) {
+	if e.wake != nil {
+		e.wake()
+	}
+	e.queue = append(e.queue, j)
+}
+
+// idle reports whether the engine's next tick would start nothing: every
+// pipeline slot is taken or no job is queued. Only enqueue and a job
+// completion end that.
+func (e *engine) idle() bool { return e.inFlight == e.depth || e.qhead == len(e.queue) }
 
 // QueueLen returns queued plus in-flight jobs.
 func (e *engine) QueueLen() int { return len(e.queue) - e.qhead + e.inFlight }
@@ -167,6 +196,9 @@ func (e *engine) tick() {
 		e.obs.Counter(e.obsTrack, "in-flight", e.inFlight)
 		j.run(func() {
 			e.inFlight--
+			if e.qhead < len(e.queue) && e.wake != nil {
+				e.wake()
+			}
 			e.obs.Counter(e.obsTrack, "in-flight", e.inFlight)
 			e.Completed.Inc()
 			if j.onDone == nil {
@@ -186,4 +218,14 @@ func (e *engine) tick() {
 			j.onDone()
 		})
 	}
+}
+
+// sleepUnless is the Sleep result of an assist's CPU side: 0 while its next
+// tick would issue or start something, otherwise idle until woken. The CPU
+// side's ticks keep no counters, so Skip has nothing to replay.
+func sleepUnless(work bool) uint64 {
+	if work {
+		return 0
+	}
+	return sim.UntilWoken
 }

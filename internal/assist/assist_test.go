@@ -26,9 +26,9 @@ type rig struct {
 
 func newRig() *rig { return newRigWired(true) }
 
-// newRigWired wires the rig as core.New does when sleep is set: the SDRAM
-// and both MAC wires are sim.Sleepers. Otherwise they hide behind plain
-// TickFuncs and tick on every edge.
+// newRigWired wires the rig as core.New does when sleep is set: the assists'
+// CPU side, the crossbar, the SDRAM and both MAC wires are sim.Sleepers.
+// Otherwise they hide behind plain TickFuncs and tick on every edge.
 func newRigWired(sleep bool) *rig {
 	r := &rig{
 		sp:    mem.NewScratchpad(256*1024, 4),
@@ -45,16 +45,21 @@ func newRigWired(sleep bool) *rig {
 	sdramD := sim.NewDomain("sdram", 500e6)
 	macD := sim.NewDomain("mac", MACHz)
 	hostD := sim.NewDomain("host", 133e6)
-	cpuD.Add(r.dmaRd)
-	cpuD.Add(r.dmaWr)
-	cpuD.Add(r.tx)
-	cpuD.Add(r.rx)
-	cpuD.Add(r.xbar)
 	if sleep {
+		cpuD.Add(r.dmaRd)
+		cpuD.Add(r.dmaWr)
+		cpuD.Add(r.tx)
+		cpuD.Add(r.rx)
+		cpuD.Add(r.xbar)
 		sdramD.Add(r.sdram)
 		macD.Add(TxWire{M: r.tx})
 		macD.Add(RxWire{M: r.rx})
 	} else {
+		cpuD.Add(sim.TickFunc(r.dmaRd.Tick))
+		cpuD.Add(sim.TickFunc(r.dmaWr.Tick))
+		cpuD.Add(sim.TickFunc(r.tx.Tick))
+		cpuD.Add(sim.TickFunc(r.rx.Tick))
+		cpuD.Add(sim.TickFunc(r.xbar.Tick))
 		sdramD.Add(sim.TickFunc(r.sdram.Tick))
 		macD.Add(sim.TickFunc(r.tx.TickMAC))
 		macD.Add(sim.TickFunc(r.rx.TickMAC))

@@ -123,6 +123,16 @@ func (d *DMARead) Tick(cycle uint64) {
 	d.Port.Tick(cycle)
 }
 
+// Sleep implements sim.Sleeper: the engine sleeps until a job or a
+// scratchpad access can start.
+func (d *DMARead) Sleep() uint64 { return sleepUnless(!d.eng.idle() || !d.Port.idle()) }
+
+// Skip implements sim.Sleeper; there is nothing to replay.
+func (d *DMARead) Skip(uint64) {}
+
+// SetWake implements sim.Sleeper.
+func (d *DMARead) SetWake(wake func()) { d.eng.wake, d.Port.wake = wake, wake }
+
 // DMAWrite is the assist that moves data from the NIC to the host: received
 // frame contents from the SDRAM receive buffer into preallocated host
 // buffers, and completion descriptors from the scratchpad into the host
@@ -214,3 +224,13 @@ func (w *DMAWrite) Tick(cycle uint64) {
 	w.eng.tick()
 	w.Port.Tick(cycle)
 }
+
+// Sleep implements sim.Sleeper: the engine sleeps until a job or a
+// scratchpad access can start.
+func (w *DMAWrite) Sleep() uint64 { return sleepUnless(!w.eng.idle() || !w.Port.idle()) }
+
+// Skip implements sim.Sleeper; there is nothing to replay.
+func (w *DMAWrite) Skip(uint64) {}
+
+// SetWake implements sim.Sleeper.
+func (w *DMAWrite) SetWake(wake func()) { w.eng.wake, w.Port.wake = wake, wake }

@@ -22,8 +22,8 @@ const wireOverhead = ethernet.PreambleBytes + ethernet.InterframeGapBytes
 // from the SDRAM transmit buffer into a two-frame staging buffer and clocks
 // them onto the wire.
 //
-// Register TickCPU in the CPU domain (it pumps the scratchpad port) and
-// TickMAC in the MAC domain (wire pacing).
+// Register MACTx itself in the CPU domain (TickCPU pumps the scratchpad
+// port) and TxWire in the MAC domain (wire pacing).
 type MACTx struct {
 	Port      *ScratchPort
 	sdram     *mem.SDRAM
@@ -48,6 +48,7 @@ type MACTx struct {
 	wireRemain int     // bytes left of the frame currently on the wire
 	cur        txFrame // the frame currently on the wire
 	wakeWire   func()  // the MAC domain's wake function (TxWire)
+	wakeCPU    func()  // the CPU domain's wake function (MACTx)
 
 	TxFrames stats.Counter
 	TxBytes  stats.Counter // wire payload bytes (frame incl. CRC)
@@ -69,7 +70,20 @@ func NewMACTx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr u
 
 // Send queues one committed frame for transmission.
 func (m *MACTx) Send(bufAddr uint32, size int, handle any) {
+	m.wakeFetch()
 	m.queue = append(m.queue, txFrame{bufAddr: bufAddr, size: size, handle: handle})
+}
+
+// canFetch reports whether TickCPU would start an SDRAM fetch. Only Send,
+// a finished fetch and the wire taking a staged frame make it true.
+func (m *MACTx) canFetch() bool { return !m.fetching && len(m.queue) > 0 && len(m.staged) < 2 }
+
+// wakeFetch wakes the CPU side, which may be asleep on a state that is about
+// to allow a fetch.
+func (m *MACTx) wakeFetch() {
+	if m.wakeCPU != nil {
+		m.wakeCPU()
+	}
 }
 
 // Backlog reports frames committed but not yet fully transmitted: queued,
@@ -94,6 +108,7 @@ func (m *MACTx) TickCPU(cycle uint64) {
 		m.sdram.Enqueue(m.sdramPort, mem.Transfer{
 			Addr: f.bufAddr, Len: f.size,
 			OnDone: func() {
+				m.wakeFetch()
 				m.staged = append(m.staged, f)
 				m.fetching = false
 				if m.wakeWire != nil {
@@ -108,6 +123,16 @@ func (m *MACTx) TickCPU(cycle uint64) {
 // Tick adapts MACTx to sim.Ticker in the CPU domain.
 func (m *MACTx) Tick(cycle uint64) { m.TickCPU(cycle) }
 
+// Sleep implements sim.Sleeper for the CPU side: it sleeps until a fetch or
+// a scratchpad access can start.
+func (m *MACTx) Sleep() uint64 { return sleepUnless(m.canFetch() || !m.Port.idle()) }
+
+// Skip implements sim.Sleeper; there is nothing to replay.
+func (m *MACTx) Skip(uint64) {}
+
+// SetWake implements sim.Sleeper.
+func (m *MACTx) SetWake(wake func()) { m.wakeCPU, m.Port.wake = wake, wake }
+
 // TickMAC advances the wire by BytesPerMACCycle.
 func (m *MACTx) TickMAC(cycle uint64) {
 	m.WireBusy.Total.Inc()
@@ -115,6 +140,7 @@ func (m *MACTx) TickMAC(cycle uint64) {
 		if len(m.staged) == 0 {
 			return
 		}
+		m.wakeFetch()
 		f := m.staged[0]
 		m.staged = m.staged[1:]
 		m.wireRemain = f.size + wireOverhead
@@ -254,6 +280,16 @@ func (m *MACRx) TickCPU(cycle uint64) { m.Port.Tick(cycle) }
 
 // Tick adapts MACRx to sim.Ticker in the CPU domain.
 func (m *MACRx) Tick(cycle uint64) { m.TickCPU(cycle) }
+
+// Sleep implements sim.Sleeper for the CPU side: it sleeps until a
+// scratchpad access can start.
+func (m *MACRx) Sleep() uint64 { return sleepUnless(!m.Port.idle()) }
+
+// Skip implements sim.Sleeper; there is nothing to replay.
+func (m *MACRx) Skip(uint64) {}
+
+// SetWake implements sim.Sleeper.
+func (m *MACRx) SetWake(wake func()) { m.Port.wake = wake }
 
 // TickMAC advances the receive wire.
 func (m *MACRx) TickMAC(cycle uint64) {

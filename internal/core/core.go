@@ -145,6 +145,7 @@ type NIC struct {
 
 	inj     *faults.Injector
 	checker *invariantChecker
+	cpuD    *sim.Domain // the CPU clock domain; its first tickers are the cores
 
 	// obs, when non-nil, is the frame-lifecycle recorder (EnableObs).
 	obs           *obs.Recorder
@@ -240,7 +241,10 @@ func New(cfg Config) *NIC {
 	}
 
 	// Clock domains: CPU (cores, assists' control side, crossbar,
-	// instruction memory), SDRAM, MAC, host interconnect.
+	// instruction memory), SDRAM, MAC, host interconnect. The crossbar and
+	// the instruction memory come after every requester, so a request made
+	// in a cycle is served from that cycle and a core they wake resumes at
+	// the next edge.
 	cpuD := sim.NewDomain("cpu", cfg.CPUMHz*1e6)
 	for _, c := range n.Cores {
 		cpuD.Add(c)
@@ -266,6 +270,7 @@ func New(cfg Config) *NIC {
 	n.checker = newInvariantChecker(n)
 	hostD.Add(n.checker)
 
+	n.cpuD = cpuD
 	n.Engine = sim.NewEngine(cpuD, sdramD, macD, hostD)
 	return n
 }

@@ -125,6 +125,27 @@ func TestSleepingDomainsStepCount(t *testing.T) {
 	}
 }
 
+// TestSleepingCoresTickCount guards the cores' executed-tick rate at the
+// paper's six-core 166 MHz RMW point. Ticking every edge takes 996 core ticks
+// per simulated µs; with the cores asleep through hazard bubbles, plain ALU
+// runs and memory and fill waits it takes about 255. A core that stopped
+// sleeping, or a sleep cut short by a spurious wake, trips this bound. The
+// count is deterministic.
+func TestSleepingCoresTickCount(t *testing.T) {
+	n := New(RMWConfig())
+	n.AttachWorkload(1472, false)
+	n.Run(800*sim.Microsecond, 2*sim.Millisecond)
+	var ticks uint64
+	for i := range n.Cores {
+		ticks += n.cpuD.TickerTicks(i)
+	}
+	perUs := float64(ticks) / (float64(n.Engine.Now()) / float64(sim.Microsecond))
+	t.Logf("%.1f executed core ticks per simulated µs", perUs)
+	if perUs > 450 {
+		t.Errorf("%.1f executed core ticks per simulated µs, want <= 450", perUs)
+	}
+}
+
 // TestReportJSONDeterministicAcrossGOMAXPROCS: scheduling pressure must not
 // leak into results. A single simulation never spawns goroutines, but the
 // sweep harness runs many concurrently, so the report must be identical

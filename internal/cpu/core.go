@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -69,7 +70,8 @@ type Stream struct {
 	CodeLen  uint32 // bytes; the PC walks the region sequentially, wrapping
 	Ops      []Op
 	// AcctID attributes this stream's cycles to a per-function bucket
-	// (Table 6); negative means unattributed.
+	// (Table 6); negative means unattributed. A core panics on a stream
+	// whose AcctID is past its last bucket.
 	AcctID int
 	// OnDone runs when the final operation has completed.
 	OnDone func()
@@ -159,6 +161,26 @@ type Core struct {
 	// (fault injection: stuck cores execute nothing, slowed cores only on a
 	// subset of cycles). Vetoed cycles count as FaultStalls.
 	Gate func(cycle uint64) bool
+
+	// The state a cycle reads, kept together. acct and lockOp cache the
+	// current op's attribution whenever cur or opIdx changes: acct is the
+	// stream's bucket or -1, lockOp whether the op is part of a lock
+	// sequence (OpLock or OpUnlock).
+	cur       *Stream
+	opIdx     int
+	pcOff     uint32
+	acct      int
+	lockOp    bool
+	state     coreState
+	hazardCtr uint8
+	plainCtr  uint8
+	memDone   bool
+	fillDone  bool
+	replaying bool // a completion's wake is replaying the wait's stalls
+	firstWait bool // distinguishes the mandatory load-stall cycle
+	lockPhase int
+	lockVal   uint32
+
 	// TraceMem, when set, observes every completed scratchpad transaction
 	// (for the Figure 3 coherence traces).
 	TraceMem func(trace.MemRef)
@@ -169,10 +191,6 @@ type Core struct {
 	OnStreamBegin func(*Stream)
 	OnStreamEnd   func(*Stream)
 
-	cur   *Stream
-	opIdx int
-	pcOff uint32
-
 	// One crossbar transaction is outstanding per core at a time (waiting
 	// ops stall the pipeline; buffered stores block the next issue via the
 	// port-busy check), so the completion callback is a single pre-bound
@@ -182,16 +200,7 @@ type Core struct {
 	xcbDone  func()
 	xbarDone func(waited uint64)
 	onFill   func() // pre-bound instruction-fill completion
-
-	state     coreState
-	hazardCtr uint8
-	plainCtr  uint8
-	memDone   bool
-	fillDone  bool
-	firstWait bool // distinguishes the mandatory load-stall cycle
-
-	lockPhase int
-	lockVal   uint32
+	wake     func() // the clock domain's wake function (sim.Sleeper)
 
 	// Per-bucket attribution, indexed by Stream.AcctID: total cycles,
 	// retired instructions, scratchpad accesses, and the lock-sequence
@@ -216,9 +225,13 @@ func New(id int, sp *mem.Scratchpad, xbar *mem.Crossbar, port int, icache *mem.I
 		FuncMem:        make([]uint64, funcBuckets),
 		FuncLockCycles: make([]uint64, funcBuckets),
 		FuncLockInstr:  make([]uint64, funcBuckets),
+		acct:           -1,
 	}
 	c.xbarDone = c.onXbarDone
-	c.onFill = func() { c.fillDone = true }
+	c.onFill = func() {
+		c.woken()
+		c.fillDone = true
+	}
 	return c
 }
 
@@ -301,6 +314,16 @@ func (c *Core) onXbarDone(_ uint64) {
 		}
 		c.memDone = true
 	}
+	switch {
+	case c.xcb != cbStore && c.xcb != cbUnlock:
+		// The core waits on this transaction: the ticks the wake replays
+		// were stalls, and the domain asks Sleep again with memDone set.
+		c.replaying = true
+		c.woken()
+		c.replaying = false
+	case c.portBlocked():
+		c.woken() // the store kept the port busy for the next issue
+	}
 }
 
 // submit records the outstanding transaction and hands the shared callback to
@@ -312,21 +335,43 @@ func (c *Core) submit(kind xbarCb, addr uint32, write bool, done func()) {
 	c.xbar.Submit(c.port, c.sp.Bank(addr), write, c.xbarDone)
 }
 
-// acct returns the current stream's attribution bucket, or -1.
-func (c *Core) acct() int {
-	if c.cur != nil && c.cur.AcctID >= 0 && c.cur.AcctID < len(c.FuncCycles) {
-		return c.cur.AcctID
+// begin makes s the current stream.
+func (c *Core) begin(s *Stream) {
+	if s.AcctID >= len(c.FuncCycles) {
+		panic(fmt.Sprintf("cpu: core %d: stream %q has AcctID %d, but the core has %d buckets",
+			c.ID, s.Name, s.AcctID, len(c.FuncCycles)))
 	}
-	return -1
+	c.cur = s
+	c.acct = s.AcctID
+	if c.acct < 0 {
+		c.acct = -1
+	}
+	c.opIdx = 0
+	c.pcOff = 0
+	c.state = stFetch
+	c.lockPhase = lkNone
+	c.setOp()
 }
 
-// inLockSeq reports whether the current op is part of a lock sequence.
-func (c *Core) inLockSeq() bool {
-	if c.cur == nil || c.opIdx >= len(c.cur.Ops) {
-		return false
-	}
+// setOp caches the attribution of the op at opIdx.
+func (c *Core) setOp() {
 	k := c.cur.Ops[c.opIdx].Kind
-	return k == OpLock || k == OpUnlock
+	c.lockOp = k == OpLock || k == OpUnlock
+}
+
+// release drops the current stream.
+func (c *Core) release() {
+	c.cur = nil
+	c.acct = -1
+	c.lockOp = false
+	c.state = stFetch
+}
+
+// woken calls the wake function, if the core has one.
+func (c *Core) woken() {
+	if c.wake != nil {
+		c.wake()
+	}
 }
 
 // Busy reports whether the core is executing a stream.
@@ -345,11 +390,7 @@ func (c *Core) Tick(cycle uint64) {
 	if c.cur == nil {
 		if c.NextWork != nil {
 			if s := c.NextWork(); s != nil && len(s.Ops) > 0 {
-				c.cur = s
-				c.opIdx = 0
-				c.pcOff = 0
-				c.state = stFetch
-				c.lockPhase = lkNone
+				c.begin(s)
 				if c.OnStreamBegin != nil {
 					c.OnStreamBegin(s)
 				}
@@ -360,9 +401,9 @@ func (c *Core) Tick(cycle uint64) {
 			return
 		}
 	}
-	if a := c.acct(); a >= 0 {
+	if a := c.acct; a >= 0 {
 		c.FuncCycles[a]++
-		if c.inLockSeq() {
+		if c.lockOp {
 			c.FuncLockCycles[a]++
 		}
 	}
@@ -384,26 +425,8 @@ func (c *Core) Tick(cycle uint64) {
 			// One non-memory instruction of the lock sequence per cycle.
 			c.retire()
 			c.plainCtr--
-			if c.plainCtr > 0 {
-				return
-			}
-			switch c.lockPhase {
-			case lkBranch:
-				c.lockPhase = lkSC
-				c.state = stFetch
-			case lkCheck:
-				c.lockPhase = lkNone
-				op := &c.cur.Ops[c.opIdx]
-				if op.OnComplete != nil {
-					op.OnComplete() // lock acquired
-				}
-				c.finishOp(op)
-			case lkBackoff:
-				c.lockPhase = lkNone // retry the ll
-				c.state = stFetch
-			default:
-				//nic:alloc unreachable unless the state machine is corrupt
-				panic(fmt.Sprintf("cpu: core %d: stPlain in lock phase %d", c.ID, c.lockPhase))
+			if c.plainCtr == 0 {
+				c.endPlain()
 			}
 			return
 
@@ -418,47 +441,10 @@ func (c *Core) Tick(cycle uint64) {
 				return
 			}
 			// Transaction completed in an earlier cycle's crossbar tick.
-			op := &c.cur.Ops[c.opIdx]
-			switch c.lockPhase {
-			case lkLL:
-				if c.lockVal != 0 {
-					// Lock held: bnez taken costs this cycle, then a short
-					// backoff delay loop before the retry.
-					c.retire()
-					c.lockPhase = lkBackoff
-					c.plainCtr = spinBackoff
-					c.state = stPlain
-					return
-				}
-				// Free: retire bnez this cycle, delay slot next, then sc.
-				c.retire()
-				c.lockPhase = lkBranch
-				c.plainCtr = 1
-				c.state = stPlain
+			if !c.resolve() {
 				return
-			case lkSC:
-				if c.lockVal == 0 {
-					// sc failed: beqz taken costs this cycle; retry from ll.
-					c.retire()
-					c.lockPhase = lkNone
-					c.state = stFetch
-					return
-				}
-				// Acquired: retire beqz this cycle, nop next.
-				c.retire()
-				c.lockPhase = lkCheck
-				c.plainCtr = 1
-				c.state = stPlain
-				return
-			default:
-				// Plain load/RMW: the stall cycles are over; execute the
-				// next instruction this cycle.
-				c.finishOp(op)
-				if c.cur == nil || c.state != stFetch {
-					return
-				}
-				continue
 			}
+			continue
 
 		case stWaitFill:
 			if !c.fillDone {
@@ -470,8 +456,7 @@ func (c *Core) Tick(cycle uint64) {
 			continue
 
 		case stFetch:
-			pc := c.cur.CodeBase + c.pcOff
-			if !c.icache.Lookup(pc) {
+			if !c.icache.Lookup(c.cur.CodeBase + c.pcOff) {
 				c.fillDone = false
 				c.imem.RequestFill(c.ID, c.onFill)
 				c.state = stWaitFill
@@ -481,6 +466,65 @@ func (c *Core) Tick(cycle uint64) {
 			c.execute()
 			return
 		}
+	}
+}
+
+// resolve runs the first cycle after a load, RMW or lock transaction
+// completed. It reports whether the cycle goes on to execute the next op,
+// as it does after a plain load or RMW.
+func (c *Core) resolve() bool {
+	switch c.lockPhase {
+	case lkLL:
+		c.retire()
+		c.state = stPlain
+		if c.lockVal != 0 {
+			// Lock held: bnez taken costs this cycle, then a short backoff
+			// delay loop before the retry.
+			c.lockPhase = lkBackoff
+			c.plainCtr = spinBackoff
+			return false
+		}
+		// Free: retire bnez this cycle, delay slot next, then sc.
+		c.lockPhase = lkBranch
+		c.plainCtr = 1
+		return false
+	case lkSC:
+		c.retire()
+		if c.lockVal == 0 {
+			// sc failed: beqz taken costs this cycle; retry from ll.
+			c.lockPhase = lkNone
+			c.state = stFetch
+			return false
+		}
+		// Acquired: retire beqz this cycle, nop next.
+		c.lockPhase = lkCheck
+		c.plainCtr = 1
+		c.state = stPlain
+		return false
+	}
+	// Plain load/RMW: the stall cycles are over.
+	c.finishOp(&c.cur.Ops[c.opIdx])
+	return c.cur != nil && c.state == stFetch
+}
+
+// endPlain moves on from the last plain instruction of a lock-sequence step.
+func (c *Core) endPlain() {
+	switch c.lockPhase {
+	case lkBranch:
+		c.lockPhase = lkSC
+		c.state = stFetch
+	case lkCheck:
+		c.lockPhase = lkNone
+		op := &c.cur.Ops[c.opIdx]
+		if op.OnComplete != nil {
+			op.OnComplete() // lock acquired
+		}
+		c.finishOp(op)
+	case lkBackoff:
+		c.lockPhase = lkNone // retry the ll
+		c.state = stFetch
+	default:
+		panic(fmt.Sprintf("cpu: core %d: stPlain in lock phase %d", c.ID, c.lockPhase))
 	}
 }
 
@@ -575,9 +619,9 @@ func (c *Core) issueSC(op *Op) {
 // retire counts one retired instruction and advances the synthetic PC.
 func (c *Core) retire() {
 	c.Stats.Instructions++
-	if a := c.acct(); a >= 0 {
+	if a := c.acct; a >= 0 {
 		c.FuncInstr[a]++
-		if c.inLockSeq() {
+		if c.lockOp {
 			c.FuncLockInstr[a]++
 		}
 	}
@@ -589,7 +633,7 @@ func (c *Core) retire() {
 
 // countMem attributes one scratchpad access to the current bucket.
 func (c *Core) countMem() {
-	if a := c.acct(); a >= 0 {
+	if a := c.acct; a >= 0 {
 		c.FuncMem[a]++
 	}
 }
@@ -610,8 +654,7 @@ func (c *Core) advance() {
 	if c.opIdx >= len(c.cur.Ops) {
 		done := c.cur.OnDone
 		cur := c.cur
-		c.cur = nil
-		c.state = stFetch
+		c.release()
 		if c.OnStreamEnd != nil {
 			c.OnStreamEnd(cur)
 		}
@@ -620,8 +663,270 @@ func (c *Core) advance() {
 		}
 		return
 	}
+	c.setOp()
 	c.state = stFetch
 }
+
+// Sleep implements sim.Sleeper. A core sleeps through hazard bubbles and
+// runs of plain ALU ops (no OnComplete, instruction-cache hits), through a
+// lock sequence's plain instructions, and until the crossbar or the
+// instruction memory completes what it waits on: a load, RMW or lock
+// transaction, an instruction fill, or the buffered store that keeps its
+// port busy. Woken by a completed transaction, it sleeps on through the tick
+// that resolves it and the plain run that follows. A tick that begins or
+// ends a stream, runs a callback, issues a memory access or fill, or
+// installs a filled line is always real. A gated core and an idle core,
+// which polls NextWork every cycle, never sleep.
+func (c *Core) Sleep() uint64 {
+	if c.Gate != nil || c.cur == nil {
+		return 0
+	}
+	switch c.state {
+	case stWaitMem:
+		if !c.memDone {
+			return sim.UntilWoken
+		}
+		return c.resolveRun()
+	case stWaitFill:
+		if !c.fillDone {
+			return sim.UntilWoken
+		}
+		return 0
+	case stPlain:
+		if c.lockPhase == lkCheck {
+			return uint64(c.plainCtr) - 1 // the last one completes the acquire
+		}
+		return uint64(c.plainCtr) // the next tick fetches the OpLock again
+	}
+	if c.portBlocked() && c.xbar.Busy(c.port) && c.icache.Probe(c.cur.CodeBase+c.pcOff) {
+		return sim.UntilWoken
+	}
+	if c.state == stHazard {
+		return c.plainTicks(c.opIdx, c.hazardCtr)
+	}
+	return c.plainTicks(c.opIdx, 0)
+}
+
+// resolveRun counts the ticks ahead, from a completed transaction, that are
+// bookkeeping: the resolving tick and the lock sequence's plain
+// instructions up to the next ll or sc, or, after a plain load or RMW, the
+// resolving tick with the plain run it starts.
+func (c *Core) resolveRun() uint64 {
+	switch c.lockPhase {
+	case lkLL:
+		if c.lockVal != 0 {
+			return 1 + spinBackoff
+		}
+		return 2 // bnez and the delay slot; then the sc issues
+	case lkSC:
+		return 1 // beqz; then the ll issues again or the acquire completes
+	}
+	i := c.opIdx
+	if h := c.cur.Ops[i].Hazard; h > 0 {
+		return 1 + c.plainTicks(i, h)
+	}
+	if i+1 == len(c.cur.Ops) {
+		return 0 // the stream ends
+	}
+	// The resolving tick executes the next op, as that op's own first tick.
+	return c.plainTicks(i+1, 0)
+}
+
+// portBlocked reports whether the core is about to issue a memory op, which
+// stalls while a buffered store keeps its crossbar port busy.
+func (c *Core) portBlocked() bool {
+	return c.cur != nil && c.state == stFetch && c.cur.Ops[c.opIdx].Kind != OpALU
+}
+
+// plainTicks counts the ticks ahead that only count hazards down and retire
+// plain ALU ops, starting with ctr bubbles of op i when ctr > 0 and else
+// with fetching op i at pcOff: the walk stops at the first op that is not
+// plain, misses in the instruction cache (a side-effect-free probe; only
+// this core's real ticks fill its cache), or would end the stream.
+func (c *Core) plainTicks(i int, ctr uint8) uint64 {
+	ops := c.cur.Ops
+	var k uint64
+	if ctr > 0 {
+		if i+1 == len(ops) {
+			return uint64(ctr) - 1
+		}
+		k = uint64(ctr)
+		i++
+	}
+	pc := c.pcOff
+	line := ^uint32(0) // the last line probed
+	for ; i < len(ops); i++ {
+		op := &ops[i]
+		if op.Kind != OpALU || op.OnComplete != nil {
+			break
+		}
+		if l := c.icache.Line(c.cur.CodeBase + pc); l != line {
+			if !c.icache.Probe(c.cur.CodeBase + pc) {
+				break
+			}
+			line = l
+		}
+		last := i+1 == len(ops)
+		if last && op.Hazard == 0 {
+			break // finishing the op ends the stream
+		}
+		k += 1 + uint64(op.Hazard)
+		pc += 4
+		if c.cur.CodeLen > 0 && pc >= c.cur.CodeLen {
+			pc = 0
+		}
+		if last {
+			// The retire and all but the last bubble; the tick that
+			// finishes the op ends the stream.
+			k--
+			break
+		}
+	}
+	return k
+}
+
+// Skip implements sim.Sleeper: it replays n ticks Sleep allowed, in bulk:
+// the counters of waits, bubbles and retires are added once, and the cache
+// hits once per line.
+func (c *Core) Skip(n uint64) {
+	c.Stats.Cycles += n
+	for n > 0 {
+		switch c.state {
+		case stWaitMem:
+			if c.memDone && !c.replaying {
+				// The resolving tick, which may go on to execute a plain
+				// ALU op as that op's first tick.
+				c.attribute(1)
+				if c.resolve() {
+					c.skipALU(n, 1)
+					return
+				}
+				n--
+				continue
+			}
+			c.attribute(n)
+			if c.firstWait {
+				c.Stats.LoadStalls++
+				c.firstWait = false
+				n--
+			}
+			c.Stats.ConflictStalls += n
+			return
+		case stWaitFill:
+			c.attribute(n)
+			c.Stats.IMissStalls += n
+			return
+		case stPlain:
+			m := min(n, uint64(c.plainCtr))
+			c.attribute(m)
+			c.plainCtr -= uint8(m)
+			for n -= m; m > 0; m-- {
+				c.retire()
+			}
+			if c.plainCtr == 0 {
+				c.endPlain()
+			}
+		case stHazard:
+			m := min(n, uint64(c.hazardCtr))
+			c.attribute(m)
+			c.Stats.PipelineStalls += m
+			c.hazardCtr -= uint8(m)
+			n -= m
+			if c.hazardCtr == 0 {
+				c.advance()
+			}
+		default: // stFetch
+			if c.cur.Ops[c.opIdx].Kind != OpALU {
+				// A memory op stalled on the busy port; the cache hits.
+				c.attribute(n)
+				c.Stats.ConflictStalls += n
+				c.icache.HitN(c.cur.CodeBase+c.pcOff, n)
+				return
+			}
+			c.skipALU(n, 0)
+			return
+		}
+	}
+}
+
+// skipALU replays n ticks of plain ALU ops and their hazard bubbles from
+// stFetch, the first attributed of them already charged to a bucket; it may
+// end inside an op's bubbles.
+func (c *Core) skipALU(n, attributed uint64) {
+	end, bubbles := c.walkALU(n)
+	retired := uint64(end - c.opIdx)
+	if bubbles > 0 {
+		retired++
+		c.state = stHazard
+		c.hazardCtr = bubbles
+	}
+	c.pcOff = c.fetchHits(retired)
+	c.Stats.Instructions += retired
+	c.Stats.PipelineStalls += n - retired
+	if a := c.acct; a >= 0 {
+		c.FuncCycles[a] += n - attributed
+		c.FuncInstr[a] += retired
+	}
+	if c.opIdx != end {
+		c.opIdx = end
+		c.setOp()
+	}
+}
+
+// walkALU finds where n ticks of plain ALU ops and their bubbles, from
+// fetching the op at opIdx, end: the op they leave the core at, and the
+// bubbles of it still to come.
+func (c *Core) walkALU(n uint64) (end int, bubbles uint8) {
+	i := c.opIdx
+	for {
+		h := uint64(c.cur.Ops[i].Hazard)
+		n-- // the retire
+		if n < h {
+			return i, uint8(h - n)
+		}
+		n -= h
+		i++
+		if n == 0 {
+			return i, 0
+		}
+	}
+}
+
+// fetchHits replays the cache hits of n sequential fetches from pcOff, one
+// lookup per line, and returns the pcOff that follows them.
+func (c *Core) fetchHits(n uint64) uint32 {
+	s := c.cur
+	lb := uint32(c.icache.LineBytes())
+	pc := c.pcOff
+	for n > 0 {
+		addr := s.CodeBase + pc
+		m := uint64(((c.icache.Line(addr)+1)*lb - addr + 3) / 4) // fetches left in the line
+		if s.CodeLen > 0 {
+			m = min(m, uint64((s.CodeLen-pc+3)/4)) // fetches before the code wraps
+		}
+		m = min(m, n)
+		c.icache.HitN(addr, m)
+		n -= m
+		pc += 4 * uint32(m)
+		if s.CodeLen > 0 && pc >= s.CodeLen {
+			pc = 0
+		}
+	}
+	return pc
+}
+
+// attribute charges n cycles to the current op's bucket.
+func (c *Core) attribute(n uint64) {
+	if a := c.acct; a >= 0 {
+		c.FuncCycles[a] += n
+		if c.lockOp {
+			c.FuncLockCycles[a] += n
+		}
+	}
+}
+
+// SetWake implements sim.Sleeper.
+func (c *Core) SetWake(wake func()) { c.wake = wake }
 
 // Preempt evicts the core's current stream so a supervisor can re-dispatch it
 // on another core (stuck-core takeover). It returns the remainder of the
@@ -640,6 +945,9 @@ func (c *Core) advance() {
 // share the evicted stream's backing array, so the supplier must not reuse
 // that array while the remainder is outstanding.
 func (c *Core) Preempt() (*Stream, bool) {
+	// Preempt runs outside the core's clock domain: replay the ticks the
+	// core slept through before reading its state.
+	c.woken()
 	if c.cur == nil {
 		return nil, true
 	}
@@ -702,10 +1010,12 @@ func (c *Core) Preempt() (*Stream, bool) {
 	if c.OnStreamEnd != nil {
 		c.OnStreamEnd(c.cur)
 	}
-	c.cur = nil
-	c.state = stFetch
+	c.release()
 	c.lockPhase = lkNone
 	c.hazardCtr = 0
 	c.plainCtr = 0
+	// The core is idle now and polls from its next edge: wake it again so
+	// the domain asks Sleep anew and drops what is left of its countdown.
+	c.woken()
 	return out, true
 }

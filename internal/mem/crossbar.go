@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -23,7 +24,7 @@ import (
 // every port for every resource; the crossbar ticks every CPU cycle, which
 // made the scan the simulator's single hottest loop.
 //
-// Crossbar is a sim.Ticker; it must be registered in the CPU clock domain
+// Crossbar is a sim.Sleeper; it must be registered in the CPU clock domain
 // *after* every requester so that a request submitted during cycle N can be
 // granted in cycle N and complete in cycle N+1.
 type Crossbar struct {
@@ -33,6 +34,7 @@ type Crossbar struct {
 	waiting   []uint64 // per-resource bitmask of ports with an ungranted request
 	inFlight  []int32  // per-resource granted port + 1; 0 = none
 	busy      int      // ports with an outstanding request (waiting or in flight)
+	wake      func()   // the clock domain's wake function (sim.Sleeper)
 	waitRes   uint64   // bitmask of resources with waiting != 0
 	liveRes   uint64   // bitmask of resources with inFlight != 0
 	// Grants counts transactions delivered per resource.
@@ -108,6 +110,9 @@ func (x *Crossbar) Submit(port, resource int, write bool, onDone func(waited uin
 	if resource < 0 || resource >= x.resources {
 		panic(fmt.Sprintf("mem: crossbar resource %d out of range", resource))
 	}
+	if x.busy == 0 && x.wake != nil {
+		x.wake()
+	}
 	p.active = true
 	p.resource = resource
 	p.write = write
@@ -119,15 +124,11 @@ func (x *Crossbar) Submit(port, resource int, write bool, onDone func(waited uin
 }
 
 // Tick completes accesses granted last cycle, then arbitrates new grants,
-// one per resource, round-robin across ports.
+// one per resource, round-robin across ports. While a BankStall hook is
+// attached it is consulted for every resource every cycle, busy or not, and
+// a stalled resource grants nothing.
 func (x *Crossbar) Tick(cycle uint64) {
-	if x.BankStall != nil {
-		// Fault path: the hook must be consulted for every resource every
-		// cycle, so keep the full scan.
-		x.tickStall()
-		return
-	}
-	if x.busy == 0 {
+	if x.busy == 0 && x.BankStall == nil {
 		return
 	}
 	// Complete accesses that traversed the crossbar last cycle, in resource
@@ -150,63 +151,27 @@ func (x *Crossbar) Tick(cycle uint64) {
 			done(waited)
 		}
 	}
-	// Arbitrate: each resource with waiters grants one request; ports left
-	// waiting afterwards lost this cycle and accumulate conflict stalls. All
-	// per-resource effects are counter updates, so folding the wait
-	// accounting into the arbitration pass changes no observable state.
+	var stalled uint64
+	if x.BankStall != nil {
+		for r := 0; r < x.resources; r++ {
+			if x.BankStall(r) {
+				stalled |= 1 << uint(r)
+			}
+		}
+	}
+	// Arbitrate: each resource with waiters grants one request unless it is
+	// stalled; ports left waiting afterwards lost this cycle and accumulate
+	// conflict stalls. All per-resource effects are counter updates, so
+	// folding the wait accounting into the arbitration pass changes no
+	// observable state.
 	wm := x.waitRes
 	for wm != 0 {
 		r := bits.TrailingZeros64(wm)
 		wm &^= 1 << uint(r)
 		w := x.waiting[r]
-		// The round-robin winner is the lowest waiting port strictly after
-		// the last grant, wrapping to the lowest overall.
-		m := w &^ (1<<uint(x.rr[r]+1) - 1)
-		if m == 0 {
-			m = w
-		}
-		pi := bits.TrailingZeros64(m)
-		x.rr[r] = int32(pi)
-		w &^= 1 << uint(pi)
-		x.waiting[r] = w
-		x.inFlight[r] = int32(pi) + 1
-		x.liveRes |= 1 << uint(r)
-		x.Grants[r].Inc()
-		if w == 0 {
-			x.waitRes &^= 1 << uint(r)
-			continue
-		}
-		for w != 0 {
-			pj := bits.TrailingZeros64(w)
-			w &^= 1 << uint(pj)
-			x.ports[pj].waited++
-			x.WaitCycles[pj].Inc()
-		}
-	}
-}
-
-// tickStall is the Tick body used while a BankStall hook is attached: same
-// semantics, but every resource is visited so the hook sees every cycle.
-func (x *Crossbar) tickStall() {
-	for r := 0; r < x.resources; r++ {
-		g := x.inFlight[r]
-		if g == 0 {
-			continue
-		}
-		x.inFlight[r] = 0
-		x.liveRes &^= 1 << uint(r)
-		x.busy--
-		p := &x.ports[g-1]
-		done := p.onDone
-		waited := p.waited
-		*p = xbarPort{}
-		if done != nil {
-			done(waited)
-		}
-	}
-	for r := 0; r < x.resources; r++ {
-		w := x.waiting[r]
-		if !x.BankStall(r) && w != 0 {
+		if stalled&(1<<uint(r)) == 0 {
+			// The round-robin winner is the lowest waiting port strictly
+			// after the last grant, wrapping to the lowest overall.
 			m := w &^ (1<<uint(x.rr[r]+1) - 1)
 			if m == 0 {
 				m = w
@@ -220,6 +185,7 @@ func (x *Crossbar) tickStall() {
 			x.Grants[r].Inc()
 			if w == 0 {
 				x.waitRes &^= 1 << uint(r)
+				continue
 			}
 		}
 		for w != 0 {
@@ -230,3 +196,20 @@ func (x *Crossbar) tickStall() {
 		}
 	}
 }
+
+// Sleep implements sim.Sleeper: a crossbar with nothing outstanding sleeps
+// until Submit wakes it. One with a BankStall hook never sleeps, because the
+// hook is consulted every cycle; attach the hook before the run.
+func (x *Crossbar) Sleep() uint64 {
+	if x.busy == 0 && x.BankStall == nil {
+		return sim.UntilWoken
+	}
+	return 0
+}
+
+// Skip implements sim.Sleeper. An idle crossbar's tick does nothing, so
+// there is nothing to replay.
+func (x *Crossbar) Skip(uint64) {}
+
+// SetWake implements sim.Sleeper.
+func (x *Crossbar) SetWake(wake func()) { x.wake = wake }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -23,6 +24,9 @@ type ICache struct {
 	ways      int
 	lines     []uint64 // sets*ways, flattened; uint64(tag)|icValid, 0 = invalid
 	lruWay    []int    // for 2-way: the way to evict next
+	// The line of the last hit or fill spans [lastBase, lastBase+lastSpan);
+	// lastSpan is 0 before the first.
+	lastBase, lastSpan uint32
 
 	pow2      bool
 	lineShift uint
@@ -61,8 +65,25 @@ func NewICache(size, ways, lineBytes int) *ICache {
 }
 
 // Lookup probes the cache for the line holding pc and updates LRU state on a
-// hit. It does not fill on a miss; call Fill once the line arrives.
+// hit. It does not fill on a miss; call Fill once the line arrives. The line
+// of the last hit or fill is the most recently used of its set, so looking
+// it up again only counts the hit.
 func (c *ICache) Lookup(pc uint32) bool {
+	if pc-c.lastBase < c.lastSpan {
+		c.Hits.Inc()
+		return true
+	}
+	return c.lookup(pc)
+}
+
+// setLast records the line holding pc as the last one hit or filled.
+func (c *ICache) setLast(pc uint32) {
+	c.lastBase = c.Line(pc) * uint32(c.lineBytes)
+	c.lastSpan = uint32(c.lineBytes)
+}
+
+// lookup is Lookup for a line other than the last one hit or filled.
+func (c *ICache) lookup(pc uint32) bool {
 	set, tag := c.index(pc)
 	want := uint64(tag) | icValid
 	if c.ways == 2 {
@@ -70,11 +91,13 @@ func (c *ICache) Lookup(pc uint32) bool {
 		if c.lines[base] == want {
 			c.Hits.Inc()
 			c.lruWay[set] = 1
+			c.setLast(pc)
 			return true
 		}
 		if c.lines[base+1] == want {
 			c.Hits.Inc()
 			c.lruWay[set] = 0
+			c.setLast(pc)
 			return true
 		}
 		c.Misses.Inc()
@@ -85,10 +108,51 @@ func (c *ICache) Lookup(pc uint32) bool {
 		if c.lines[base+w] == want {
 			c.Hits.Inc()
 			c.touch(set, w)
+			c.setLast(pc)
 			return true
 		}
 	}
 	c.Misses.Inc()
+	return false
+}
+
+// HitN counts n fetches from the line holding pc, which must be cached,
+// exactly as n lookups would.
+func (c *ICache) HitN(pc uint32, n uint64) {
+	if n == 0 {
+		return
+	}
+	if !c.Lookup(pc) {
+		panic(fmt.Sprintf("mem: icache HitN on uncached pc %#x", pc))
+	}
+	c.Hits.Add(n - 1)
+}
+
+// LineBytes returns the line size in bytes.
+func (c *ICache) LineBytes() int { return c.lineBytes }
+
+// Line returns the number of the cache line holding pc.
+func (c *ICache) Line(pc uint32) uint32 {
+	if c.pow2 {
+		return pc >> c.lineShift
+	}
+	return pc / uint32(c.lineBytes)
+}
+
+// Probe reports whether the line holding pc is cached, without counting a
+// hit or miss or touching LRU state.
+func (c *ICache) Probe(pc uint32) bool {
+	if pc-c.lastBase < c.lastSpan {
+		return true
+	}
+	set, tag := c.index(pc)
+	want := uint64(tag) | icValid
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
+		if c.lines[base+w] == want {
+			return true
+		}
+	}
 	return false
 }
 
@@ -106,6 +170,7 @@ func (c *ICache) Fill(pc uint32) {
 	}
 	c.lines[base+w] = uint64(tag) | icValid
 	c.touch(set, w)
+	c.setLast(pc)
 }
 
 // HitRatio returns hits/(hits+misses).
@@ -141,7 +206,8 @@ func (c *ICache) touch(set, way int) {
 // round-robin. A 32-byte line fill occupies the port for accessCy + 2
 // transfer cycles (32 B over a 16 B/cycle port).
 //
-// InstrMemory is a sim.Ticker in the CPU clock domain.
+// InstrMemory is a sim.Sleeper in the CPU clock domain, registered after
+// the cores.
 type InstrMemory struct {
 	accessCy int
 	lineCy   int
@@ -153,6 +219,7 @@ type InstrMemory struct {
 	busy     int // cycles remaining on current fill
 	current  fillReq
 	hasCur   bool
+	wake     func() // the clock domain's wake function (sim.Sleeper)
 	PortBusy stats.Utilization
 	Fills    stats.Counter
 }
@@ -176,6 +243,9 @@ func NewInstrMemory(accessCy, lineBytes int) *InstrMemory {
 // RequestFill enqueues a line fill for a core; onDone is called during the
 // tick the fill completes.
 func (m *InstrMemory) RequestFill(core int, onDone func()) {
+	if m.wake != nil {
+		m.wake()
+	}
 	m.pending = append(m.pending, fillReq{core: core, onDone: onDone})
 }
 
@@ -210,3 +280,33 @@ func (m *InstrMemory) Tick(cycle uint64) {
 		}
 	}
 }
+
+// Sleep implements sim.Sleeper: the port sleeps through a fill's countdown
+// and, idle, until RequestFill wakes it.
+func (m *InstrMemory) Sleep() uint64 {
+	switch {
+	case m.hasCur:
+		return uint64(m.busy - 1)
+	case m.phead < len(m.pending):
+		return 0
+	}
+	return sim.UntilWoken
+}
+
+// Skip implements sim.Sleeper: it replays n cycles of the port's
+// utilization and the current fill's countdown.
+func (m *InstrMemory) Skip(n uint64) {
+	m.PortBusy.Total.Add(n)
+	if !m.hasCur {
+		return
+	}
+	// The skipped cycles count busy from m.busy down to m.busy-n+1; those at
+	// or below lineCy are transfer cycles.
+	if hi, lo := min(m.busy, m.lineCy), m.busy-int(n)+1; hi >= lo {
+		m.PortBusy.Busy.Add(uint64(hi - lo + 1))
+	}
+	m.busy -= int(n)
+}
+
+// SetWake implements sim.Sleeper.
+func (m *InstrMemory) SetWake(wake func()) { m.wake = wake }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -310,6 +311,40 @@ func TestICacheTwoWayLRU(t *testing.T) {
 	}
 	if !c.Lookup(d) {
 		t.Error("d should be resident")
+	}
+}
+
+// TestICacheLastLineShortcut: Lookup's shortcut for the line of the last hit
+// or fill, and HitN, must leave hits, misses, lines and replacement state
+// exactly as full lookups do, in 2-way caches and in the 4-way pseudo-LRU
+// ones, with code that aliases into a few sets.
+func TestICacheLastLineShortcut(t *testing.T) {
+	for _, ways := range []int{2, 4} {
+		fast, full := NewICache(1024, ways, 32), NewICache(1024, ways, 32)
+		x := uint32(12345)
+		for i := 0; i < 20000; i++ {
+			x = x*1664525 + 1013904223
+			pc := (x >> 8 % 4 * 1024) + (x >> 12 % 8 * 32) + (x >> 16 % 8 * 4)
+			n := uint64(1 + x>>20%5)
+			if fast.Probe(pc) && x%3 == 0 {
+				fast.HitN(pc, n)
+				for k := uint64(0); k < n; k++ {
+					full.lookup(pc)
+				}
+			} else if hit := fast.Lookup(pc); hit != full.lookup(pc) {
+				t.Fatalf("%d-way, access %d (pc %#x): Lookup = %v, full lookup disagrees", ways, i, pc, hit)
+			} else if !hit {
+				fast.Fill(pc)
+				full.Fill(pc)
+			}
+			if fast.Hits != full.Hits || fast.Misses != full.Misses ||
+				!slices.Equal(fast.lines, full.lines) || !slices.Equal(fast.lruWay, full.lruWay) {
+				t.Fatalf("%d-way, access %d (pc %#x): state differs from full lookups", ways, i, pc)
+			}
+		}
+		if fast.Hits.Value() == 0 || fast.Misses.Value() == 0 {
+			t.Fatalf("%d-way: hits %d, misses %d: the sequence exercises nothing", ways, fast.Hits.Value(), fast.Misses.Value())
+		}
 	}
 }
 

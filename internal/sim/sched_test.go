@@ -149,8 +149,11 @@ func (r *diffRig) state() string {
 
 // runDiff builds a sleeping and a fully ticked rig, drives both through the
 // same back-to-back RunFor calls, and requires identical tick logs and
-// identical state after every call. It returns both rigs.
-func runDiff(t *testing.T, build func(*diffRig), chunks ...Picoseconds) (sleeping, ticked *diffRig) {
+// identical state after every call, and fewer executed ticks in the sleeping
+// rig. With domainSleeps, some domain holds only sleepers and must sleep
+// whole, so the sleeping rig must also take fewer engine steps. It returns
+// both rigs.
+func runDiff(t *testing.T, build func(*diffRig), domainSleeps bool, chunks ...Picoseconds) (sleeping, ticked *diffRig) {
 	t.Helper()
 	sleeping, ticked = newDiffRig(true), newDiffRig(false)
 	build(sleeping)
@@ -166,10 +169,24 @@ func runDiff(t *testing.T, build func(*diffRig), chunks ...Picoseconds) (sleepin
 	if len(ticked.log) == 0 {
 		t.Fatal("no ticks logged")
 	}
-	if sleeping.e.Steps() >= ticked.e.Steps() {
-		t.Errorf("sleeping run took %d steps, ticked %d: nothing slept", sleeping.e.Steps(), ticked.e.Steps())
+	if s, k := sleeping.ticks(), ticked.ticks(); s >= k {
+		t.Errorf("sleeping run executed %d ticks, ticked %d: nothing slept", s, k)
+	}
+	if domainSleeps && sleeping.e.Steps() >= ticked.e.Steps() {
+		t.Errorf("sleeping run took %d steps, ticked %d: no domain slept", sleeping.e.Steps(), ticked.e.Steps())
 	}
 	return sleeping, ticked
+}
+
+// ticks sums the executed ticks of every ticker in the rig.
+func (r *diffRig) ticks() uint64 {
+	var n uint64
+	for _, d := range r.doms {
+		for i := range d.slots {
+			n += d.TickerTicks(i)
+		}
+	}
+	return n
 }
 
 func compareLogs(t *testing.T, sleeping, ticked []string) {
@@ -193,6 +210,9 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 		name   string
 		build  func(*diffRig)
 		chunks []Picoseconds
+		// shared is set where every sleeper shares its domain with a
+		// ticker that never sleeps: the sleepers save ticks, not steps.
+		shared bool
 	}{
 		// The 5000 ps waker shares every other edge with the 2000 ps sleeper;
 		// registered first, its wake at a shared instant precedes the
@@ -201,14 +221,14 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 			p := r.domain("cpu", 200e6)
 			s := r.domain("sdram", 500e6)
 			r.producer(p, r.job(s, 7, 1, 12), 3)
-		}, long},
+		}, long, false},
 		// Registered after the sleeper, the waker comes too late for the
 		// sleeper's edge at the shared instant: the next edge is the first.
 		{"later-waker-coincident", func(r *diffRig) {
 			s := r.domain("sdram", 500e6)
 			p := r.domain("cpu", 200e6)
 			r.producer(p, r.job(s, 7, 1, 12), 3)
-		}, long},
+		}, long, false},
 		// A sleeper's completion wakes a sleeper in another domain, in both
 		// registration directions.
 		{"sleeper-wakes-sleeper", func(r *diffRig) {
@@ -221,7 +241,7 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 			ja.onDone = jb.submit
 			jb.onDone = jc.submit
 			r.producer(p, ja, 4)
-		}, long},
+		}, long, false},
 		// Two sleepers share a domain: one counting down, one idle until
 		// woken. Waking the idle one must cut the domain's sleep short.
 		{"shared-domain", func(r *diffRig) {
@@ -230,7 +250,7 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 			q := r.domain("host", 133e6)
 			r.producer(p, r.job(m, 40, 25), 11)
 			r.producer(q, r.job(m, 3), 13)
-		}, long},
+		}, long, false},
 		// Event callbacks wake the sleeper, on its edges and between them,
 		// with the event domain registered before and after it.
 		{"event-waker", func(r *diffRig) {
@@ -246,7 +266,7 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 				late.Schedule(i*41*Nanosecond+7, j.submit) // between edges
 				early.Schedule(i*43*Nanosecond+999, j.submit)
 			}
-		}, long},
+		}, long, false},
 		// The controller's 7519 ps host clock against 2000 ps: a host-clock
 		// producer wakes a 2000 ps sleeper, whose completions wake a sleeper
 		// on a second 7519 ps clock.
@@ -260,7 +280,70 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 			jf := r.job(fast, 6, 19)
 			jf.onDone = r.job(slow, 2, 5).submit
 			r.producer(prod, jf, 5)
-		}, long},
+		}, long, false},
+		// A sleeper shares its domain with the tickers that wake it: one
+		// registered after it (its wake comes too late for this edge) and
+		// one before it (its wake makes the sleeper tick at this edge). The
+		// domain steps every edge; the sleepers still skip theirs.
+		{"shared-with-wakers", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			early := r.job(p, 40, 3)
+			r.producer(p, early, 4)
+			late := r.job(p, 5, 12)
+			r.producer(p, late, 6)
+		}, long, true},
+		// Long countdowns, cut short and joined by shorter ones, in one
+		// domain and across domains.
+		{"long-countdowns", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			s := r.domain("sdram", 500e6)
+			a := r.job(s, 200, 65, 3, 130)
+			b := r.job(s, 64, 1, 63, 300)
+			a.onDone = b.submit
+			r.producer(p, a, 23)
+			r.producer(p, r.job(p, 90, 2, 70), 31)
+		}, long, false},
+		// Event callbacks wake countdowns of many lengths while their
+		// domain sleeps, on and between its edges.
+		{"wake-countdowns", func(r *diffRig) {
+			s := r.domain("sdram", 500e6)
+			ev := NewEventDomain("ev")
+			r.e.AddDomain(ev)
+			j := r.job(s, 14, 15, 16, 17, 18, 31, 32, 33, 64)
+			for i := Picoseconds(1); i <= 300; i++ {
+				ev.Schedule(i*(i%7+1)*23*Nanosecond+i%5*1000, j.submit)
+			}
+		}, long, false},
+		// Tickers past the first 64 of a domain tick every edge, after the
+		// sleepers, which still sleep.
+		{"past-64-tickers", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			q := r.domain("host", 133e6)
+			var js []*job
+			for i := 0; i < 66; i++ {
+				js = append(js, r.job(p, 3+i%17, 40+i%5))
+			}
+			for i, j := range js {
+				if i%9 == 0 {
+					r.producer(q, j, 7+uint64(i))
+				}
+			}
+			r.producer(p, js[65], 5)
+		}, long, true},
+		// Tickers past the first 64 wake sleepers among the first 64 of
+		// their own domain, directly and from a completion, so each wake
+		// lands after the domain's pass over its sleepers.
+		{"past-64-wake-earlier", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			var js []*job
+			for i := 0; i < 65; i++ {
+				js = append(js, r.job(p, 2+i%13, 20+i%7))
+			}
+			js[64].onDone = js[5].submit
+			r.producer(p, js[0], 9)
+			r.producer(p, js[63], 7)
+			r.producer(p, js[64], 11)
+		}, long, true},
 		// Deadlines that land on edges only the sleeping 2000 ps domain has
 		// (4000 ps is no 5000 ps edge), off every edge, and on shared edges,
 		// run back to back.
@@ -269,9 +352,9 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 			s := r.domain("sdram", 500e6)
 			r.producer(p, r.job(s, 50, 3), 17)
 		}, []Picoseconds{4000, 1, 1999, 2000, 2001, 6000, 8000, 12345, 7519,
-			10000, 4 * Microsecond, 2000, 2000, 3000, Microsecond + 2000}},
+			10000, 4 * Microsecond, 2000, 2000, 3000, Microsecond + 2000}, false},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runDiff(t, tc.build, tc.chunks...) })
+		t.Run(tc.name, func(t *testing.T) { runDiff(t, tc.build, !tc.shared, tc.chunks...) })
 	}
 }
 

@@ -14,19 +14,21 @@
 // registration order. Event-driven domains keep their pending callbacks in a
 // binary min-heap ordered by (time, schedule order).
 //
-// # Sleeping domains
+// # Sleeping tickers
 //
 // A ticker may implement Sleeper to tell the engine which of its upcoming
-// ticks are pure countdown, or that it is idle until woken. A domain whose
-// tickers all sleep is not stepped again until its next needed edge or a
-// wake; the skipped ticks' bookkeeping is replayed (Sleeper.Skip) before the
-// domain's next real tick, on a wake, and when RunFor or RunUntil returns, so
-// a sleeping run is indistinguishable from one that ticks every edge.
+// ticks are pure countdown, or that it is idle until woken. The domain skips
+// a sleeping ticker while its other tickers step, and is not stepped at all
+// while every ticker sleeps. A ticker's skipped bookkeeping is replayed
+// (Sleeper.Skip) before its next real tick, on its wake, and when RunFor or
+// RunUntil returns, so a sleeping run is indistinguishable from one that
+// ticks every edge.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -66,8 +68,8 @@ func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 
 // A Sleeper is a Ticker that can spare the engine ticks that would only do
 // bookkeeping. The engine asks Sleep right after each of the ticker's real
-// ticks; a domain sleeps only while every one of its tickers is a Sleeper,
-// for the smallest number of ticks they allow.
+// ticks and skips the ticker for as many ticks as it allows, while the rest
+// of its domain steps; the domain itself sleeps while all its tickers do.
 type Sleeper interface {
 	Ticker
 	// Sleep reports how many of the ticker's next ticks are pure countdown:
@@ -80,13 +82,17 @@ type Sleeper interface {
 	// replayed ticks never exceed what Sleep allowed, though one sleep may
 	// be replayed in several parts.
 	Skip(n uint64)
-	// SetWake receives the wake function when the ticker is added to a
-	// Domain that can sleep; a ticker without one is never skipped. A
-	// ticker that reported UntilWoken calls it when it gets work; the
-	// domain then ticks again at the first edge a fully ticked run has not
-	// yet processed. Every call also replays the bookkeeping skipped up to
-	// that instant, so a ticker calls it before stamping anything with its
-	// own replayed state.
+	// SetWake receives the ticker's wake function when it is added to a
+	// Domain (one of its first 64 tickers). Every call replays the
+	// bookkeeping skipped up to that instant, so a ticker calls it before
+	// stamping anything with its own replayed state, and then asks Sleep
+	// again from the first edge a fully ticked run has not yet processed for
+	// the ticker. A ticker that reported UntilWoken ticks after as many
+	// edges as the new answer allows, or at that edge when it still answers
+	// UntilWoken (it calls wake before taking the work it is given). A
+	// counting-down ticker only ever ticks earlier than before, so one whose
+	// countdown an outside call cuts short (a preempted core) calls wake
+	// again once its state has changed.
 	SetWake(wake func())
 }
 
@@ -107,28 +113,53 @@ const NoEdge = Picoseconds(1<<64 - 1)
 // resulting frequency error is below 0.003%, far under the modeling noise of
 // the study.
 type Domain struct {
-	name    string
-	period  Picoseconds
-	hz      float64
-	next    Picoseconds // the instant the engine next processes the domain
-	edge    Picoseconds // clocked: earliest edge neither ticked nor skipped
-	cycle   uint64      // clocked: the cycle number of edge
-	tickers []Ticker
-	order   int
+	name   string
+	period Picoseconds
+	hz     float64
+	next   Picoseconds // the instant the engine next processes the domain
+	edge   Picoseconds // clocked: earliest edge the domain has not processed
+	cycle  uint64      // clocked: the cycle number of edge
+	order  int
+	ahead  uint64 // clocked: cycles past edge beyond which next saturates at NoEdge
 
-	// sleepers parallels tickers while every ticker is a Sleeper; noSleep
-	// records that one is not, and the domain then ticks every edge. idle
-	// has bit i set while sleepers[i] sleeps until woken. A clocked domain
-	// is asleep while next != edge.
-	sleepers []Sleeper
-	noSleep  bool
-	idle     uint64
+	// The tickers, in registration order, and the sleep state of the first
+	// maxSleepers. awake has a bit per slot that ticks at the domain's next
+	// edge; a sleeping slot next ticks at needs[i] (UntilWoken while idle).
+	// counting has a bit per slot asleep until a need that is a cycle, and
+	// soonest is at most the least of those needs (UntilWoken when there is
+	// none): a wake that cuts a countdown short may leave it early, which
+	// costs one scan that finds nothing due, or, while every ticker sleeps,
+	// one edge at which nothing ticks.
+	// During the domain's pass, pass holds the slots still due at this edge
+	// and pos the slot ticking; after the pass pos is maxSleepers.
+	slots    []slot
+	needs    []uint64 // one per slot among the first maxSleepers, for the scan
+	sleepers int      // slots with a Sleeper
+	awake    uint64
+	pass     uint64
+	counting uint64
+	soonest  uint64
+	pos      int
 
 	eventDriven bool
 	events      []schedEvent // binary min-heap ordered by (at, seq)
 	seq         uint64
 	eng         *Engine
 }
+
+// slot is one registered ticker and its sleep state. One that is not a
+// Sleeper, or comes after the first maxSleepers, has a nil s and ticks every
+// edge.
+type slot struct {
+	t     Ticker
+	s     Sleeper
+	at    uint64 // the first cycle the ticker has neither ticked nor replayed
+	ticks uint64 // real ticks executed
+}
+
+// maxSleepers is the number of a domain's tickers that may sleep: one bit
+// each in the domain's masks. Later tickers tick every edge, after them.
+const maxSleepers = 64
 
 type schedEvent struct {
 	at  Picoseconds
@@ -147,7 +178,7 @@ func NewDomain(name string, hz float64) *Domain {
 	if period == 0 {
 		period = 1
 	}
-	return &Domain{name: name, period: period, hz: hz}
+	return &Domain{name: name, period: period, hz: hz, ahead: uint64(1<<62) / uint64(period), soonest: UntilWoken}
 }
 
 // NewEventDomain creates an event-driven domain: instead of a fixed clock it
@@ -254,105 +285,214 @@ func (d *Domain) Period() Picoseconds { return d.period }
 func (d *Domain) Cycles() uint64 { return d.cycle }
 
 // Add registers a ticker with the domain. Tickers run in registration order
-// within a cycle, which keeps simulations deterministic. A Sleeper receives
-// the domain's wake function here, unless the domain already holds a ticker
-// that does not sleep (or 64 sleepers), which keeps it awake on every edge.
+// within a cycle, which keeps simulations deterministic. A Sleeper among the
+// first 64 tickers receives its wake function here. Register tickers before
+// the run; one added later first ticks at the domain's next edge.
 func (d *Domain) Add(t Ticker) {
-	d.tickers = append(d.tickers, t)
-	s, ok := t.(Sleeper)
-	if !ok || d.noSleep || len(d.sleepers) == 64 { // idle holds one bit per sleeper
-		d.sleepers, d.noSleep = nil, true
-		return
+	i := len(d.slots)
+	s, _ := t.(Sleeper)
+	if i >= maxSleepers {
+		s = nil
 	}
-	bit := uint64(1) << uint(len(d.sleepers))
-	s.SetWake(func() { d.wake(bit) })
-	d.sleepers = append(d.sleepers, s)
+	d.slots = append(d.slots, slot{t: t, s: s, at: d.cycle})
+	if i < maxSleepers {
+		d.needs = append(d.needs, 0)
+		d.awake |= 1 << uint(i)
+	}
+	if s != nil {
+		d.sleepers++
+		s.SetWake(func() { d.wake(i) })
+	}
+	if d.eng != nil && !d.eventDriven && d.next > d.edge {
+		d.next = d.edge
+	}
 }
 
-// tick runs one cycle of a clocked domain at d.next, first replaying the
-// edges it slept through, and then asks its sleepers how long it may sleep.
+// TickerTicks returns the number of real ticks the i-th registered ticker
+// has executed; the cycles it slept through are not counted.
+func (d *Domain) TickerTicks(i int) uint64 { return d.slots[i].ticks }
+
+// tick runs one cycle of a clocked domain at d.next: every ticker due then
+// is caught up on the cycles it slept through, ticked, and asked how long it
+// may sleep. The domain's next edge is the next edge if a ticker stays
+// awake, else its sleeping tickers' soonest need.
 //
 //nic:hotpath
 func (d *Domain) tick() {
-	if d.edge != d.next {
-		d.skipTo(d.next)
-	}
 	c := d.cycle
-	for _, t := range d.tickers {
-		t.Tick(c)
+	if d.next != d.edge {
+		c += uint64((d.next - d.edge) / d.period)
+		d.edge, d.cycle = d.next, c
+	}
+	slots := d.slots
+	if d.sleepers == 0 {
+		// No ticker can sleep: tick them all, as a plain clock does.
+		for i := range slots {
+			slots[i].ticks++
+			slots[i].t.Tick(c)
+		}
+		d.cycle = c + 1
+		d.edge += d.period
+		d.next = d.edge
+		return
+	}
+	d.pass, d.awake = d.awake, 0
+	if d.soonest <= c {
+		d.due(c)
+	}
+	for d.pass != 0 {
+		i := bits.TrailingZeros64(d.pass)
+		d.pass &^= 1 << uint(i)
+		d.pos = i
+		sl := &slots[i]
+		sl.ticks++
+		s := sl.s
+		if s == nil {
+			sl.t.Tick(c)
+			d.awake |= 1 << uint(i)
+			continue
+		}
+		if sl.at < c {
+			s.Skip(c - sl.at)
+		}
+		sl.at = c + 1
+		sl.t.Tick(c)
+		if k := s.Sleep(); k != 0 {
+			n := after(c+1, k)
+			d.needs[i] = n
+			if k != UntilWoken {
+				d.sleep(i, n)
+			}
+			continue
+		}
+		d.awake |= 1 << uint(i)
+	}
+	// Tickers past the first maxSleepers tick after the pass: a wake they
+	// send comes after every sleeper's turn at this edge.
+	d.pos = maxSleepers
+	for i := maxSleepers; i < len(slots); i++ {
+		slots[i].ticks++
+		slots[i].t.Tick(c)
 	}
 	d.cycle = c + 1
 	d.edge += d.period
-	d.next = d.edge
-	if d.sleepers != nil {
-		d.sleep()
-	}
-}
-
-// sleep moves d.next to the domain's next needed edge: the end of the
-// shortest countdown, or NoEdge when every sleeper waits to be woken.
-//
-//nic:hotpath
-func (d *Domain) sleep() {
-	n := uint64(UntilWoken)
-	var idle uint64
-	for i, s := range d.sleepers {
-		k := s.Sleep()
-		if k == 0 {
-			return
-		}
-		if k == UntilWoken {
-			idle |= 1 << uint(i)
-		} else if k < n {
-			n = k
-		}
-	}
-	d.idle = idle
-	if n == UntilWoken {
-		d.next = NoEdge
+	if d.awake != 0 || len(slots) > maxSleepers {
+		d.next = d.edge
 		return
 	}
-	d.next = d.edge + Picoseconds(n)*d.period
+	d.next = d.edgeOf(d.soonest)
 }
 
-// skipTo replays the bookkeeping of the edges in [d.edge, t); t is an edge
-// of the domain.
+// due moves the counting slots whose need is cycle c into the pass and
+// recomputes soonest over the rest.
 //
 //nic:hotpath
-func (d *Domain) skipTo(t Picoseconds) {
-	k := uint64((t - d.edge) / d.period)
-	for _, s := range d.sleepers {
-		s.Skip(k)
+func (d *Domain) due(c uint64) {
+	needs, soonest, due := d.needs, uint64(UntilWoken), uint64(0)
+	for m := d.counting; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		n := needs[i]
+		// Without a branch, which would mispredict: all ones when n == c.
+		x := n ^ c
+		hit := (x|-x)>>63 - 1
+		due |= 1 << uint(i) & hit
+		soonest = min(soonest, n|hit)
 	}
-	d.cycle += k
-	d.edge = t
+	d.counting &^= due
+	d.pass |= due
+	d.soonest = soonest
 }
 
-// wake is the wake function of the sleeper with the given idle bit. It
-// replays the edges a fully ticked run has processed by now; if that sleeper
-// was idle until woken, the domain ticks again at the first edge the ticked
-// run has not processed. That is the edge at now itself only while the
-// engine has yet to reach the domain in this step's registration-order pass.
+// sleep counts slot i down to its need n.
 //
 //nic:hotpath
-func (d *Domain) wake(bit uint64) {
+func (d *Domain) sleep(i int, n uint64) {
+	d.counting |= 1 << uint(i)
+	d.soonest = min(d.soonest, n)
+}
+
+// after returns cycle c plus k, saturating at UntilWoken.
+func after(c, k uint64) uint64 {
+	if k >= UntilWoken-c {
+		return UntilWoken
+	}
+	return c + k
+}
+
+// edgeOf returns the instant of cycle n, which is at or after d.cycle, or
+// NoEdge for UntilWoken and cycles too far ahead to represent.
+//
+//nic:hotpath
+func (d *Domain) edgeOf(n uint64) Picoseconds {
+	if k := n - d.cycle; k <= d.ahead {
+		return d.edge + Picoseconds(k)*d.period
+	}
+	return NoEdge
+}
+
+// wake is the wake function of the ticker in slot i. It replays the cycles a
+// fully ticked run has processed for that ticker by now, up to u, the first
+// cycle the ticked run has not processed: the one at now itself only while
+// this step's registration-order pass has yet to reach the ticker. It then
+// asks Sleep again. An idle ticker ticks at u plus the answer, or at u when
+// it still answers UntilWoken (it has just been given work it has not seen);
+// a counting-down ticker only ever ticks earlier than it would have.
+//
+//nic:hotpath
+func (d *Domain) wake(i int) {
 	e := d.eng
-	if e == nil || d.next == d.edge {
-		return // awake: it ticks at its next edge anyway
+	bit := uint64(1) << uint(i)
+	if e == nil || d.awake&bit != 0 {
+		return // it ticks at the next edge and has nothing to replay
 	}
-	t := d.edge
-	if t <= e.now {
-		k := uint64((e.now - t) / d.period)
-		t += Picoseconds(k) * d.period // the last edge at or before now
-		if t < e.now || d.order < e.cur {
-			t += d.period
+	sl := &d.slots[i]
+	inPass := e.cur == d.order
+	u := d.cycle
+	switch {
+	case !inPass:
+		if d.edge <= e.now {
+			k := uint64((e.now - d.edge) / d.period)
+			u += k
+			if d.edge+Picoseconds(k)*d.period < e.now || d.order < e.cur {
+				u++
+			}
 		}
-		d.skipTo(t)
+	case i == d.pos:
+		return // ticking now: the pass asks Sleep after the tick
+	case d.pass&bit != 0:
+		// Due later in this pass: only the replay is left to do.
+		if sl.at < u {
+			sl.s.Skip(u - sl.at)
+			sl.at = u
+		}
+		return
+	case i < d.pos:
+		u++
 	}
-	if d.idle&bit != 0 {
-		d.idle &^= bit
-		if t < d.next {
-			d.next = t
+	if sl.at < u {
+		sl.s.Skip(u - sl.at)
+		sl.at = u
+	}
+	n := u
+	if k := sl.s.Sleep(); k != UntilWoken {
+		n = after(u, k)
+	}
+	if need := d.needs[i]; need != UntilWoken {
+		if n >= need {
+			return
+		}
+		d.counting &^= bit
+	}
+	d.needs[i] = n
+	switch {
+	case inPass && n == d.cycle:
+		d.pass |= bit // after the ticking slot: this pass ticks it
+	case inPass && n == d.cycle+1:
+		d.awake |= bit
+	default:
+		d.sleep(i, n)
+		if !inPass {
+			d.next = min(d.next, d.edgeOf(n))
 		}
 	}
 }
@@ -566,13 +706,20 @@ func (e *Engine) landing(deadline Picoseconds) Picoseconds {
 }
 
 // settle replays the bookkeeping of every edge at or before now that a
-// sleeping domain skipped, so state read between runs (reports, snapshots,
+// sleeping ticker skipped, so state read between runs (reports, snapshots,
 // Cycles) matches a fully ticked run.
 func (e *Engine) settle() {
 	for _, d := range e.clocked {
 		if d.edge <= e.now {
 			k := uint64((e.now-d.edge)/d.period) + 1
-			d.skipTo(d.edge + Picoseconds(k)*d.period)
+			d.cycle += k
+			d.edge += Picoseconds(k) * d.period
+		}
+		for i := range d.slots {
+			if sl := &d.slots[i]; sl.s != nil && sl.at < d.cycle {
+				sl.s.Skip(d.cycle - sl.at)
+				sl.at = d.cycle
+			}
 		}
 	}
 }
