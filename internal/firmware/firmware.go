@@ -242,7 +242,6 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 		sendRing:  make([]*sendFrame, FlagBits),
 		cont:      make([]streamFIFO, nCores),
 		handed:    make([]*cpu.Stream, nCores),
-		pool:      newStreamPool(nCores),
 		nCores:    nCores,
 	}
 	// One receive pipeline per host receive queue. The status-flag region is

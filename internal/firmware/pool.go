@@ -11,9 +11,12 @@ import "repro/internal/cpu"
 // from the recycled ones. TakeOver drops a preempted core's record without
 // recycling it: the remainder stream Preempt returns shares the evicted
 // stream's ops.
+//
+// The free list has no fixed length, like the freeblocks list of a driver
+// that preallocates its rings: every returned stream is kept, so the list
+// settles at the peak number of streams outstanding at once (queued
+// continuations included) and then stops growing.
 const (
-	// poolStreamsPerCore bounds the free list at this many streams per core.
-	poolStreamsPerCore = 2
 	// poolMaxOps is the largest op capacity the free list keeps.
 	poolMaxOps = 4096
 	// reserveSlack bounds the headroom a buffer is chosen with beyond the
@@ -22,18 +25,11 @@ const (
 	reserveSlack = 128
 )
 
-// streamPool is a bounded free list of streams with their op capacity, plus
-// the address scratch the builder in use borrows. The zero pool recycles
-// nothing.
+// streamPool is a free list of streams with their op capacity, plus the
+// address scratch the builder in use borrows.
 type streamPool struct {
 	free  []*cpu.Stream
-	max   int
 	addrs []uint32
-}
-
-func newStreamPool(nCores int) streamPool {
-	max := poolStreamsPerCore * nCores
-	return streamPool{free: make([]*cpu.Stream, 0, max), max: max}
 }
 
 // get removes and returns the free stream with the smallest op capacity of
@@ -58,10 +54,9 @@ func (p *streamPool) get(need, want int) *cpu.Stream {
 }
 
 // put recycles s. Its ops are cleared so that stale completion closures do
-// not pin frames. A full pool or an oversized buffer leaves s to the garbage
-// collector.
+// not pin frames. An oversized buffer leaves s to the garbage collector.
 func (p *streamPool) put(s *cpu.Stream) {
-	if len(p.free) >= p.max || cap(s.Ops) > poolMaxOps {
+	if cap(s.Ops) > poolMaxOps {
 		return
 	}
 	clear(s.Ops)
