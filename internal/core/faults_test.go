@@ -195,8 +195,8 @@ func TestTakeoverRunDigest(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"sw-200", DefaultConfig(), "3cf4d3c3fa4c7741"},
-		{"rmw-166", RMWConfig(), "e35f9909ea22405c"},
+		{"sw-200", DefaultConfig(), "07d5514272cfde65"},
+		{"rmw-166", RMWConfig(), "544717cca050b4de"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := runWithPlan(t, tc.cfg, faults.Reference(200*sim.Microsecond))

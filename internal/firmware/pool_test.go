@@ -75,18 +75,6 @@ func (r *rig) complete(s *cpu.Stream) {
 	r.engine.RunFor(sim.Picoseconds(len(s.Ops)) * 6 * sim.Nanosecond)
 }
 
-// warmHazardMemo runs a twin one-core rig through calls dispatches. Stream
-// seeds count up from 1 in every firmware, so the twin fills the process-wide
-// hazard-draw memo with exactly the seeds a fresh rig's first calls
-// dispatches use, and a measurement sees no cold memo entries.
-func warmHazardMemo(calls int) {
-	r := newRig(1)
-	r.engine.RunFor(100 * sim.Microsecond)
-	for i := 0; i < calls; i++ {
-		r.complete(r.fw.nextWork(0))
-	}
-}
-
 // sameArray reports whether two op slices share a backing array: slices cut
 // from one array end at the same element once extended to their capacity.
 func sameArray(a, b []cpu.Op) bool {
@@ -143,7 +131,6 @@ func TestTakeOverKeepsRemainderOps(t *testing.T) {
 // entirely from recycled memory.
 func TestNextWorkRecyclesStreams(t *testing.T) {
 	const warm, runs = 10, 100
-	warmHazardMemo(warm + runs + 1)
 	r := newRig(1)
 	for i := 0; i < warm; i++ {
 		r.fw.nextWork(0)
@@ -160,7 +147,6 @@ func TestNextWorkRecyclesStreams(t *testing.T) {
 // nextWork alone: claim scan, stream building and recycling.
 func BenchmarkNextWork(b *testing.B) {
 	const warm = 1000
-	warmHazardMemo(warm + b.N)
 	r := newRig(1)
 	r.engine.RunFor(100 * sim.Microsecond)
 	for i := 0; i < warm; i++ {

@@ -14,9 +14,6 @@
 package firmware
 
 import (
-	"math/rand"
-	"sync"
-
 	"repro/internal/cpu"
 	"repro/internal/fwkernels"
 )
@@ -344,9 +341,7 @@ type streamBuilder struct {
 	addrs []uint32 // address-generator scratch, valid until build
 	seed  int64
 	hf    float64
-	draw  int        // hazard draws consumed so far
-	ent   hazardBits // memoized draw bits (nil until first draw)
-	rng   *rand.Rand // live fallback for seeds outside the memo
+	draw  int // hazard draws consumed so far
 }
 
 func newBuilder(pool *streamPool, seed int64, hazardFrac float64) streamBuilder {
@@ -443,118 +438,18 @@ func (b *streamBuilder) offset(bases []uint32, off uint32) []uint32 {
 	return b.addrs[start:len(b.addrs):len(b.addrs)]
 }
 
-// hazard returns the next deterministic hazard draw: exactly the value
-// rand.New(rand.NewSource(seed)).Float64() < hf would yield for this draw
-// index. Streams are seeded from an incrementing counter, so the same seeds
-// recur in every simulation a process runs (benchmark iterations, suite
-// sweeps); seeding Go's generator costs ~2000 multiplies, which was one of
-// the hottest paths in the profile, so the draw sequence is memoized
-// process-wide per (seed, fraction) and replayed as a bitset.
+// hazard returns the stream's next hazard draw, a pure function of the
+// stream seed and the draw index: the splitmix64 finalizer mixes the pair
+// into 64 uniform bits, whose top 53 form a fraction in [0, 1). Seeds count
+// up from 1 per firmware, so two streams of a run share draws only after
+// 2^32 streams, or in a stream of 2^32 draws.
 func (b *streamBuilder) hazard() bool {
-	i := b.draw
+	z := uint64(b.seed)<<32 ^ uint64(b.draw)
 	b.draw++
-	if b.rng != nil {
-		return b.rng.Float64() < b.hf
-	}
-	if i >= 64*len(b.ent) {
-		ent, ok := hazardSeq(b.seed, b.hf, i+1)
-		if !ok {
-			// Seed outside the memo: replay this stream's draws live. The
-			// first i draws were already consumed from the memo, so skip them.
-			b.rng = rand.New(rand.NewSource(b.seed))
-			for j := 0; j < i; j++ {
-				b.rng.Float64()
-			}
-			return b.rng.Float64() < b.hf
-		}
-		b.ent = ent
-	}
-	return b.ent[i>>6]>>(uint(i)&63)&1 != 0
-}
-
-// hazardBits is an immutable prefix of one seed's draw sequence, one bit per
-// draw and a multiple of hazardChunk draws long. Extension publishes a fresh
-// array under the memo lock, so readers never see mutation.
-type hazardBits []uint64
-
-// hazardSeeds is one hazard fraction's memo, indexed by stream seed in
-// blocks of hazardSeedBlock seeds: seeds count up from 1, so a table needs
-// no per-seed key or entry object, and growing it never copies the entries.
-type hazardSeeds [][]hazardBits
-
-func (s hazardSeeds) at(seed int64) hazardBits {
-	blk := int(seed / hazardSeedBlock)
-	if blk >= len(s) || s[blk] == nil {
-		return nil
-	}
-	return s[blk][seed%hazardSeedBlock]
-}
-
-var (
-	hazardMu    sync.RWMutex
-	hazardCache = map[float64]hazardSeeds{} //nic:guardedby hazardMu
-)
-
-const (
-	// hazardChunk is the draw-count granularity of cached entries; most
-	// streams draw far fewer (a poll pass draws ~9).
-	hazardChunk     = 128
-	hazardSeedBlock = 1024
-	// hazardCacheMax bounds the memoized seeds per fraction; larger seeds
-	// use the live fallback. 1<<20 seeds ≈ tens of MB, far above any
-	// suite's seed count.
-	hazardCacheMax = 1 << 20
-)
-
-// hazardSeq returns memoized bits holding at least need draws for the given
-// seed and fraction, generating or extending them if required, or false when
-// the seed is outside the memo.
-func hazardSeq(seed int64, hf float64, need int) (hazardBits, bool) {
-	if seed < 0 || seed >= hazardCacheMax {
-		return nil, false
-	}
-	hazardMu.RLock()
-	e := hazardCache[hf].at(seed)
-	hazardMu.RUnlock()
-	if 64*len(e) >= need {
-		return e, true
-	}
-	hazardMu.Lock()
-	defer hazardMu.Unlock()
-	seeds := hazardCache[hf]
-	e = seeds.at(seed)
-	if 64*len(e) >= need {
-		return e, true
-	}
-	have := 64 * len(e)
-	target := have * 2
-	if target < need {
-		target = need
-	}
-	target = (target + hazardChunk - 1) / hazardChunk * hazardChunk
-	// Regenerate from the seed, skipping the draws already cached; seeding
-	// dominates the cost and happens at most a few times per seed ever.
-	rng := rand.New(rand.NewSource(seed))
-	for j := 0; j < have; j++ {
-		rng.Float64()
-	}
-	bits := make(hazardBits, target/64)
-	copy(bits, e)
-	for j := have; j < target; j++ {
-		if rng.Float64() < hf {
-			bits[j>>6] |= 1 << (uint(j) & 63)
-		}
-	}
-	blk := int(seed / hazardSeedBlock)
-	for len(seeds) <= blk {
-		seeds = append(seeds, nil)
-	}
-	if seeds[blk] == nil {
-		seeds[blk] = make([]hazardBits, hazardSeedBlock)
-	}
-	seeds[blk][seed%hazardSeedBlock] = bits
-	hazardCache[hf] = seeds
-	return bits, true
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11)*0x1p-53 < b.hf
 }
 
 // cost appends a TaskCost worth of work: c.Instr instructions with the

@@ -43,9 +43,10 @@ func TestHashlintFixtures(t *testing.T) {
 	linttest.Run(t, fixtures, lint.Hashlint, "fixture/hashlint")
 }
 
-// TestConcurrencyContractPackagesClean pins the packages carrying
-// //nic:guardedby contracts — the sweep store and runner and the firmware
-// hazard cache — and experiments, which drives both from the runner's pool,
+// TestConcurrencyContractPackagesClean pins the packages that sweep workers
+// run concurrently — the sweep store and runner, which carry the
+// //nic:guardedby contracts, experiments, which drives simulations from the
+// runner's pool, and the firmware every one of those simulations runs —
 // clean under guardlint and hashlint even in -short mode, where the
 // whole-tree check is skipped. Patterns resolve against the module root,
 // and one naming no Go files loads nothing, so the package count is checked.
