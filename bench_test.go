@@ -159,7 +159,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // benchSweep runs a reduced Figure 7 grid through the sweep harness with the
 // given worker count. The parallel/serial pair measures the harness's
-// scaling on this machine (see BENCH_sweep.json for recorded numbers).
+// scaling on the machine it runs on.
 func benchSweep(b *testing.B, workers int) {
 	jobs := experiments.Figure7Jobs(experiments.Quick, []int{1, 2, 4, 6}, []float64{150, 200})
 	r := &sweep.Runner{Run: experiments.Simulate, Workers: workers}

@@ -202,7 +202,10 @@ func TestParseSLO(t *testing.T) {
 			t.Errorf("ParseSLO(%q) = %+v, want %+v", in, got, want)
 		}
 	}
-	for _, in := range []string{"recv", "recv=x", "bogus=1", "recv=-4", "drops=1.5"} {
+	for _, in := range []string{
+		"recv", "recv=x", "bogus=1", "recv=-4", "drops=1.5",
+		"drops=NaN", "recv=NaN", "send=+Inf", "recv=Inf", "send=-Inf", "drops=inf",
+	} {
 		if _, err := ParseSLO(in); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", in)
 		}

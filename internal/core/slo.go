@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -36,6 +37,13 @@ func (s SLO) NeedsLatency() bool { return s.RecvP99Us > 0 || s.SendP99Us > 0 }
 
 // Validate reports the first specification error, if any.
 func (s SLO) Validate() error {
+	for _, v := range []float64{s.RecvP99Us, s.SendP99Us, s.MaxDropFrac} {
+		// NaN and ±Inf pass the range checks below but cannot be
+		// JSON-encoded into a spec hash or a report.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: non-finite SLO value %g", v)
+		}
+	}
 	if s.RecvP99Us < 0 || s.SendP99Us < 0 {
 		return fmt.Errorf("core: negative SLO latency bound")
 	}
