@@ -19,7 +19,6 @@
 //	nicbench -quick -all -times        # per-job sim-time/wall-time summary
 //	nicbench -all -cpuprofile cpu.prof # CPU profile of the whole run
 //	nicbench -all -memprofile mem.prof # heap profile at exit
-//	nicbench -quick -all -tickprof -json  # per-domain tick costs in results
 //	nicbench -quick -simspeed-check    # gate vs BENCH_simspeed.json (CI)
 //	nicbench -simspeed-update          # refresh BENCH_simspeed.json
 //	nicbench -json -canonical          # canonical results (byte-comparable)
@@ -70,14 +69,13 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		times      = flag.Bool("times", false, "print a per-job simulated-time/wall-time summary")
-		tickProf   = flag.Bool("tickprof", false, "collect per-domain tick costs (tick_costs in -json results)")
 		latency    = flag.Bool("latency", false, "observe frame lifecycles (latency section in reports; incompatible with -check/-update-baseline)")
 
 		ssCheck  = flag.Bool("simspeed-check", false, "measure simulation speed and compare against -simspeed-file; non-zero exit on regression")
 		ssUpdate = flag.Bool("simspeed-update", false, "measure simulation speed and rewrite -simspeed-file")
 		ssFile   = flag.String("simspeed-file", "BENCH_simspeed.json", "committed simulation-speed baseline for -simspeed-check/-simspeed-update")
 
-		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times and tick costs) for byte-exact comparison across runs")
+		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times) for byte-exact comparison across runs")
 	)
 	flag.Parse()
 
@@ -118,7 +116,6 @@ func run() int {
 			}
 		}()
 	}
-	experiments.TickProfile = *tickProf
 	if *latency {
 		if *check || *update {
 			// Observation adds a latency section to every report, which would

@@ -22,6 +22,14 @@ type rig struct {
 	dmaWr *DMAWrite
 	tx    *MACTx
 	rx    *MACRx
+	// actions are the DMA engines' note actions, by note tag minus one.
+	actions []func()
+}
+
+// note returns a fresh note tag whose delivery runs f.
+func (r *rig) note(f func()) uint32 {
+	r.actions = append(r.actions, f)
+	return uint32(len(r.actions))
 }
 
 func newRig() *rig { return newRigWired(true) }
@@ -40,6 +48,9 @@ func newRigWired(sleep bool) *rig {
 	r.dmaWr = NewDMAWrite(NewScratchPort(r.sp, r.xbar, 1, 101), r.sdram, 1, r.h, 0x3_0004, 4)
 	r.tx = NewMACTx(NewScratchPort(r.sp, r.xbar, 2, 102), r.sdram, 2, 0x3_0008)
 	r.rx = NewMACRx(NewScratchPort(r.sp, r.xbar, 3, 103), r.sdram, 3, 0x3_000c)
+	owner := sim.CompleteFunc(func(tag uint32) { r.actions[tag-1]() })
+	r.dmaRd.SetOwner(owner)
+	r.dmaWr.SetOwner(owner)
 
 	cpuD := sim.NewDomain("cpu", 200e6)
 	sdramD := sim.NewDomain("sdram", 500e6)
@@ -80,8 +91,9 @@ func TestScratchPortOneAccessPerCycle(t *testing.T) {
 	xbar := mem.NewCrossbar(1, 4)
 	p := NewScratchPort(sp, xbar, 0, 0)
 	done := 0
+	p.owner = sim.CompleteFunc(func(uint32) { done++ })
 	for i := 0; i < 4; i++ {
-		p.Write(uint32(i*4), func() { done++ })
+		p.Write(uint32(i*4), 1)
 	}
 	for c := uint64(0); c < 16 && done < 4; c++ {
 		p.Tick(c)
@@ -105,7 +117,7 @@ func TestDMAReadFetchBDsWritesDescriptorsAndProgress(t *testing.T) {
 		t.Fatal("driver posted no descriptors")
 	}
 	fetched := false
-	r.dmaRd.FetchBDs(128, 0x1000, func() { fetched = true })
+	r.dmaRd.FetchBDs(128, 0x1000, r.note(func() { fetched = true }))
 	r.eng.RunUntil(100*sim.Microsecond, func() bool { return fetched })
 	if !fetched {
 		t.Fatal("BD fetch never completed")
@@ -137,9 +149,9 @@ func TestSendPathFrameReachesWireInOrder(t *testing.T) {
 		buf := addr
 		addr += uint32(f.Size)
 		fr := f
-		r.dmaRd.FetchFrame(buf, host.HeaderBytes, f.Size-host.HeaderBytes, func() {
+		r.dmaRd.FetchFrame(buf, host.HeaderBytes, f.Size-host.HeaderBytes, r.note(func() {
 			r.tx.Send(buf, fr.Size, fr)
-		})
+		}))
 	}
 	r.eng.RunUntil(sim.Millisecond, func() bool { return sink.Frames.Value() == n })
 	if sink.Frames.Value() != n {
@@ -186,11 +198,11 @@ func TestReceivePathDeliversToHostInOrder(t *testing.T) {
 	delivered := 0
 	r.rx.OnReceive = func(buf uint32, size int, handle any, queue int) {
 		f := handle.(*host.Frame)
-		r.dmaWr.WriteFrame(buf, size, func() {
+		r.dmaWr.WriteFrame(buf, size, r.note(func() {
 			r.h.TakeRecvBDs(queue, 1)
 			r.h.DeliverFrame(f, queue)
 			delivered++
-		})
+		}))
 	}
 	r.eng.RunUntil(sim.Millisecond, func() bool { return delivered == 20 })
 	if delivered != 20 {
@@ -236,11 +248,11 @@ func TestFullDuplexSimultaneousStreams(t *testing.T) {
 	delivered := 0
 	r.rx.OnReceive = func(buf uint32, size int, handle any, queue int) {
 		f := handle.(*host.Frame)
-		r.dmaWr.WriteFrame(buf, size, func() {
+		r.dmaWr.WriteFrame(buf, size, r.note(func() {
 			r.h.TakeRecvBDs(queue, 1)
 			r.h.DeliverFrame(f, queue)
 			delivered++
-		})
+		}))
 	}
 
 	// Drive the send side as BDs appear.
@@ -253,9 +265,9 @@ func TestFullDuplexSimultaneousStreams(t *testing.T) {
 			buf := txAddr
 			txAddr += uint32(f.Size)
 			fr := f
-			r.dmaRd.FetchFrame(buf, host.HeaderBytes, f.Size-host.HeaderBytes, func() {
+			r.dmaRd.FetchFrame(buf, host.HeaderBytes, f.Size-host.HeaderBytes, r.note(func() {
 				r.tx.Send(buf, fr.Size, fr)
-			})
+			}))
 			sent++
 		}
 	}

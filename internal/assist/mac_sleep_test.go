@@ -66,8 +66,8 @@ func TestWiresSleepLikeTickedRun(t *testing.T) {
 			for k := 0; k < 1+11*int(c/150%3/2) && c%2500 < 900 && c%150 == 0; k++ {
 				j := jobs
 				jobs++
-				done := func(what string) func() {
-					return func() { fmt.Fprintf(&log, "%s%d@%d ", what, j, r.eng.Now()) }
+				done := func(what string) uint32 {
+					return r.note(func() { fmt.Fprintf(&log, "%s%d@%d ", what, j, r.eng.Now()) })
 				}
 				switch j % 4 {
 				case 0:

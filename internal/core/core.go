@@ -136,6 +136,10 @@ type NIC struct {
 	TxSink *workload.TxSink
 	txGen  *workload.Generator
 	rxGen  *workload.Generator
+	// frames is the NIC's frame free list: the workload sources take frames
+	// from it; the transmit sink, the host's delivery and the MAC's drops
+	// give them back.
+	frames host.FrameList
 
 	// adv/traffic/slo are set by AttachTraffic and AttachSLO: the hostile
 	// receive source, its spec (for the report), and the armed objective.
@@ -186,6 +190,7 @@ func New(cfg Config) *NIC {
 	hcfg := cfg.Host
 	hcfg.RxQueues = nq
 	n.Host = host.New(hcfg)
+	n.Host.Free = &n.frames
 
 	prtDMARd := cfg.Cores + 0
 	prtDMAWr := cfg.Cores + 1
@@ -207,6 +212,7 @@ func New(cfg Config) *NIC {
 			n.SDRAM, sdramMACRx, firmware.PtrMACRx),
 	}
 	n.As.MACRx.Queues = nq
+	n.As.MACRx.OnDrop = n.dropFrame
 	if nq > 1 {
 		steer, err := assist.NewSteering(cfg.Steering)
 		if err != nil {
@@ -275,15 +281,29 @@ func New(cfg Config) *NIC {
 	return n
 }
 
+// dropFrame takes back a frame the MAC discarded.
+func (n *NIC) dropFrame(handle any) {
+	if f, ok := handle.(*host.Frame); ok {
+		n.frames.Put(f)
+	}
+}
+
+// attachSink installs the transmit sink, which hands frames back to the
+// NIC's free list.
+func (n *NIC) attachSink() {
+	n.TxSink = &workload.TxSink{Free: &n.frames}
+	n.FW.OnTransmit = func(f *host.Frame) { n.TxSink.Transmit(f) }
+}
+
 // AttachWorkload installs a full-duplex UDP stream of the given datagram
 // size on both directions.
 func (n *NIC) AttachWorkload(udpSize int, withPayload bool) {
 	n.txGen = workload.NewGenerator(udpSize, withPayload)
 	n.rxGen = workload.NewGenerator(udpSize, withPayload)
+	n.txGen.Free, n.rxGen.Free = &n.frames, &n.frames
 	n.Host.Source = &workload.Sender{G: n.txGen}
 	n.As.MACRx.Source = &workload.Arrivals{G: n.rxGen}
-	n.TxSink = &workload.TxSink{}
-	n.FW.OnTransmit = func(f *host.Frame) { n.TxSink.Transmit(f) }
+	n.attachSink()
 }
 
 // AttachTraffic installs one adversarial traffic-matrix point: the hostile
@@ -301,19 +321,20 @@ func (n *NIC) AttachTraffic(udpSize int, ts workload.TrafficSpec, withPayload bo
 	spec := ts
 	n.traffic = &spec
 	n.adv = workload.NewAdversary(ts, udpSize, withPayload)
+	n.adv.Free = &n.frames
 	n.As.MACRx.Source = n.adv
 	if ts.Class == workload.ClassMcast {
 		n.As.MACRx.Filter = workload.StationFilter()
 	}
 	n.txGen = workload.NewGenerator(udpSize, withPayload)
 	n.txGen.Jumbo = n.Cfg.JumboFrames
+	n.txGen.Free = &n.frames
 	if ts.Arrival == workload.ArrivalSync {
 		n.Host.Source = &workload.GatedSender{G: n.txGen, Adv: n.adv}
 	} else {
 		n.Host.Source = &workload.Sender{G: n.txGen}
 	}
-	n.TxSink = &workload.TxSink{}
-	n.FW.OnTransmit = func(f *host.Frame) { n.TxSink.Transmit(f) }
+	n.attachSink()
 	return nil
 }
 

@@ -44,16 +44,29 @@ func (r *rig) run(n int) {
 	}
 }
 
-// feed installs a one-shot stream on core i.
+// completions is a test stream owner: record k runs the k-th registered
+// action.
+type completions []func()
+
+// on registers f and returns its record.
+func (c *completions) on(f func()) uint32 {
+	*c = append(*c, f)
+	return uint32(len(*c))
+}
+
+// Complete implements sim.Completer.
+func (c *completions) Complete(tag uint32) { (*c)[tag-1]() }
+
+// feed installs a one-shot stream on core i; the flag it returns is set when
+// the stream's Done is delivered.
 func (r *rig) feed(i int, s *Stream) *bool {
 	done := new(bool)
-	prev := s.OnDone
-	s.OnDone = func() {
-		*done = true
-		if prev != nil {
-			prev()
-		}
+	acts, _ := s.Owner.(*completions)
+	if acts == nil {
+		acts = new(completions)
+		s.Owner = acts
 	}
+	s.Done = acts.on(func() { *done = true })
 	delivered := false
 	r.cores[i].NextWork = func() *Stream {
 		if delivered {
@@ -223,21 +236,22 @@ func TestLockMutualExclusion(t *testing.T) {
 	r := newRig(2, 4)
 	var order []int
 	var holder = -1
+	acts := new(completions)
 	mk := func(id int) []Op {
 		return []Op{
-			{Kind: OpLock, Addr: 0x300, OnComplete: func() {
+			{Kind: OpLock, Addr: 0x300, Done: acts.on(func() {
 				if holder != -1 {
 					t.Errorf("core %d acquired while core %d holds", id, holder)
 				}
 				holder = id
 				order = append(order, id)
-			}},
+			})},
 			{}, {}, {}, // critical section work
-			{Kind: OpUnlock, Addr: 0x300, OnComplete: func() { holder = -1 }},
+			{Kind: OpUnlock, Addr: 0x300, Done: acts.on(func() { holder = -1 })},
 		}
 	}
-	d0 := r.feed(0, &Stream{CodeLen: 64, Ops: mk(0)})
-	d1 := r.feed(1, &Stream{CodeLen: 64, Ops: mk(1)})
+	d0 := r.feed(0, &Stream{CodeLen: 64, Ops: mk(0), Owner: acts})
+	d1 := r.feed(1, &Stream{CodeLen: 64, Ops: mk(1), Owner: acts})
 	r.run(400)
 	if !*d0 || !*d1 {
 		t.Fatal("streams did not complete")
@@ -253,20 +267,21 @@ func TestLockMutualExclusion(t *testing.T) {
 }
 
 func TestLockOnCompleteRunsAtAcquire(t *testing.T) {
-	// OnComplete of OpLock runs when the lock is acquired, before the
-	// following ops execute.
+	// The Done record of OpLock is delivered when the lock is acquired,
+	// before the following ops execute.
 	r := newRig(1, 4)
 	acquired := false
+	acts := new(completions)
 	ops := []Op{
-		{Kind: OpLock, Addr: 0x300, OnComplete: func() { acquired = true }},
-		{OnComplete: func() {
+		{Kind: OpLock, Addr: 0x300, Done: acts.on(func() { acquired = true })},
+		{Done: acts.on(func() {
 			if !acquired {
 				t.Error("critical section ran before acquire completed")
 			}
-		}},
+		})},
 		{Kind: OpUnlock, Addr: 0x300},
 	}
-	done := r.feed(0, &Stream{CodeLen: 64, Ops: ops})
+	done := r.feed(0, &Stream{CodeLen: 64, Ops: ops, Owner: acts})
 	r.run(50)
 	if !*done {
 		t.Fatal("stream did not complete")
@@ -290,8 +305,9 @@ func TestFuncCycleAttribution(t *testing.T) {
 func TestRMWIsSingleTransaction(t *testing.T) {
 	r := newRig(1, 4)
 	fired := false
-	ops := []Op{{Kind: OpRMW, Addr: 0x400, OnComplete: func() { fired = true }}, {}}
-	done := r.feed(0, &Stream{CodeLen: 32, Ops: ops})
+	acts := new(completions)
+	ops := []Op{{Kind: OpRMW, Addr: 0x400, Done: acts.on(func() { fired = true })}, {}}
+	done := r.feed(0, &Stream{CodeLen: 32, Ops: ops, Owner: acts})
 	r.run(20)
 	if !*done || !fired {
 		t.Fatal("stream or RMW completion missing")

@@ -26,6 +26,7 @@ type sleepRig struct {
 	imem  *mem.InstrMemory
 	cores []*Core
 	log   strings.Builder
+	acts  completions // the streams' owner
 
 	// Per-core work: a seeded generator and the core's preempted
 	// remainders, which it picks up before new work.
@@ -127,7 +128,7 @@ func (r *sleepRig) stream(core, n int) *Stream {
 	push := func(op Op, kind string) {
 		if kind != "" && rng.Intn(3) == 0 {
 			k := len(ops)
-			op.OnComplete = func() { r.logf(core, fmt.Sprintf("%s %s#%d", kind, name, k)) }
+			op.Done = r.acts.on(func() { r.logf(core, fmt.Sprintf("%s %s#%d", kind, name, k)) })
 		}
 		ops = append(ops, op)
 	}
@@ -178,7 +179,7 @@ func (r *sleepRig) stream(core, n int) *Stream {
 	}
 	return &Stream{
 		Name: name, CodeBase: base, CodeLen: codeLen,
-		Ops: ops, AcctID: acct, OnDone: func() { r.logf(core, "done "+name) },
+		Ops: ops, AcctID: acct, Owner: &r.acts, Done: r.acts.on(func() { r.logf(core, "done "+name) }),
 	}
 }
 

@@ -43,3 +43,19 @@ func TestCompareSimSpeedReportsMissingPoints(t *testing.T) {
 		t.Errorf("findings %q", bad)
 	}
 }
+
+// TestCompareSimSpeedAllocFloor checks the absolute slack on a near-zero
+// allocation baseline: noise of a few tens of bytes per simulated µs
+// passes, a regression to per-frame allocation does not.
+func TestCompareSimSpeedAllocFloor(t *testing.T) {
+	base := SimSpeedFile{Tolerance: 0.25, Points: []SimSpeedPoint{{Name: "a", SimNsPerWallMs: 8000, AllocBytesPerSimUs: 16}}}
+	for _, c := range []struct {
+		fresh float64
+		fails bool
+	}{{16, false}, {16 + AllocSlackBytesPerSimUs, false}, {17 + AllocSlackBytesPerSimUs, true}, {1300, true}} {
+		bad := CompareSimSpeed(base, []SimSpeedPoint{{Name: "a", SimNsPerWallMs: 8000, AllocBytesPerSimUs: c.fresh}})
+		if got := len(bad) > 0; got != c.fails {
+			t.Errorf("%.0f B/sim-us on a 16 B/sim-us baseline: findings %q, want failure %v", c.fresh, bad, c.fails)
+		}
+	}
+}

@@ -124,11 +124,11 @@ func Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
 		if err != nil {
 			return sweep.Outcome{}, err
 		}
-		r, costs, err := simulate(ctx, cfg, j.Spec, b)
+		r, err := simulate(ctx, cfg, j.Spec, b)
 		if err != nil {
 			return sweep.Outcome{}, err
 		}
-		return sweep.Outcome{Report: &r, TickCosts: costs}, nil
+		return sweep.Outcome{Report: &r}, nil
 	case sweep.KindFig3:
 		pts, r, err := figure3Collect(ctx, b, j.Spec.MaxRefs)
 		if err != nil {
@@ -144,11 +144,6 @@ func Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
 	}
 }
 
-// TickProfile, when set before a sweep starts, enables per-domain tick-cost
-// collection on every simulated job; the breakdown lands in each result's
-// tick_costs. Diagnostic only — the reports themselves are unchanged.
-var TickProfile bool
-
 // Observe, when set before a sweep starts, enables frame-lifecycle latency
 // observation on every simulated job: each report gains a Latency section
 // (percentiles and per-stage residency). Observation is passive — every other
@@ -159,27 +154,24 @@ var Observe bool
 // simulate runs one spec with cooperative cancellation, attaching the
 // adversarial traffic class, fault plan, and SLO the spec declares (if any)
 // before the run starts.
-func simulate(ctx context.Context, cfg core.Config, s sweep.Spec, b Budget) (core.Report, []sim.DomainCost, error) {
+func simulate(ctx context.Context, cfg core.Config, s sweep.Spec, b Budget) (core.Report, error) {
 	n := core.New(cfg)
 	if s.Traffic != nil {
 		if err := n.AttachTraffic(s.UDPSize, *s.Traffic, false); err != nil {
-			return core.Report{}, nil, err
+			return core.Report{}, err
 		}
 	} else {
 		n.AttachWorkload(s.UDPSize, false)
 	}
 	if s.Faults != nil {
 		if err := n.AttachFaults(*s.Faults); err != nil {
-			return core.Report{}, nil, err
+			return core.Report{}, err
 		}
 	}
 	if s.SLO != nil {
 		if err := n.AttachSLO(*s.SLO); err != nil {
-			return core.Report{}, nil, err
+			return core.Report{}, err
 		}
-	}
-	if TickProfile {
-		n.Engine.ProfileTicks(true)
 	}
 	if Observe {
 		n.EnableObs(obs.Config{})
@@ -187,13 +179,9 @@ func simulate(ctx context.Context, cfg core.Config, s sweep.Spec, b Budget) (cor
 	defer watchdog(ctx, n.Engine)()
 	r := n.Run(b.Warmup, b.Measure)
 	if ctx != nil && ctx.Err() != nil {
-		return core.Report{}, nil, ctx.Err()
+		return core.Report{}, ctx.Err()
 	}
-	var costs []sim.DomainCost
-	if TickProfile {
-		costs = n.Engine.TickCosts()
-	}
-	return r, costs, nil
+	return r, nil
 }
 
 // watchdog stops the engine when ctx is canceled; the returned release

@@ -99,7 +99,7 @@ func TestConcurrentBuildersAgree(t *testing.T) {
 		for seed := int64(1); seed <= streams; seed++ {
 			b := newBuilder(&pool, seed, 0.28)
 			b.cost(TaskCost{150, 34, 21}, walk([]uint32{0x100}))
-			out[seed-1] = slices.Clone(b.build("t", 0, 0, 0, nil).Ops)
+			out[seed-1] = slices.Clone(b.build("t", 0, 0, 0, 0).Ops)
 		}
 		return out
 	}

@@ -92,11 +92,11 @@ func TestTaskCostArithmetic(t *testing.T) {
 
 func TestBuilderLockUnlockAndRMW(t *testing.T) {
 	b := newBuilder(&streamPool{}, 1, 0)
-	b.lock(0x100, nil)
+	b.lock(0x100, 0)
 	b.alu(2)
-	b.unlock(0x100, nil)
-	b.rmw(0x200, nil)
-	s := b.build("x", 0, 64, 1, nil)
+	b.unlock(0x100, 0)
+	b.rmw(0x200, 0)
+	s := b.build("x", 0, 64, 1, 0)
 	if len(s.Ops) != 5 {
 		t.Fatalf("ops = %d", len(s.Ops))
 	}
@@ -108,28 +108,31 @@ func TestBuilderLockUnlockAndRMW(t *testing.T) {
 	}
 }
 
-func TestBuilderThenChainsCompletions(t *testing.T) {
+// TestBuilderThenRejectsSecondCompletion checks that then attaches its
+// record to the last op, and that an op carries at most one: a second
+// record would silently replace the first.
+func TestBuilderThenRejectsSecondCompletion(t *testing.T) {
 	b := newBuilder(&streamPool{}, 1, 0)
-	calls := []int{}
 	b.alu(1)
-	b.then(func() { calls = append(calls, 1) })
-	b.then(func() { calls = append(calls, 2) })
-	op := b.ops[0]
-	op.OnComplete()
-	if len(calls) != 2 || calls[0] != 1 || calls[1] != 2 {
-		t.Errorf("calls = %v", calls)
+	b.then(rec(doneCommitSend, 3))
+	if got := b.ops[0].Done; got != rec(doneCommitSend, 3) {
+		t.Fatalf("Done = %#x", got)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("then attached a second completion record to one op")
+		}
+	}()
+	b.then(rec(doneCommitSend, 4))
 }
 
 func TestBuilderThenOnEmptyStreamAddsOp(t *testing.T) {
 	b := newBuilder(&streamPool{}, 1, 0)
-	ran := false
-	b.then(func() { ran = true })
+	b.then(rec(doneEnd, 0))
 	if len(b.ops) != 1 {
 		t.Fatalf("ops = %d", len(b.ops))
 	}
-	b.ops[0].OnComplete()
-	if !ran {
+	if b.ops[0].Done != rec(doneEnd, 0) {
 		t.Error("completion not attached")
 	}
 }

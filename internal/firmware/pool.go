@@ -23,6 +23,9 @@ const (
 	// ops requested: a cost block is usually followed by a short lock/ALU
 	// tail.
 	reserveSlack = 128
+	// reserveMin is the smallest buffer chosen, so that a stream built one
+	// op at a time does not pass through a string of tiny buffers.
+	reserveMin = 64
 )
 
 // streamPool is a free list of streams with their op capacity, plus the
@@ -53,48 +56,12 @@ func (p *streamPool) get(need, want int) *cpu.Stream {
 	return s
 }
 
-// put recycles s. Its ops are cleared so that stale completion closures do
-// not pin frames. An oversized buffer leaves s to the garbage collector.
+// put recycles s. Ops hold no pointers, so they need no clearing. An
+// oversized buffer leaves s to the garbage collector.
 func (p *streamPool) put(s *cpu.Stream) {
 	if cap(s.Ops) > poolMaxOps {
 		return
 	}
-	clear(s.Ops)
 	*s = cpu.Stream{Ops: s.Ops[:0]}
 	p.free = append(p.free, s)
-}
-
-// streamFIFO is a head-indexed queue of streams (the pattern of
-// assist.ScratchPort.queue): popping does not reslice the front away, so the
-// backing array is reused once the queue drains.
-type streamFIFO struct {
-	q    []*cpu.Stream
-	head int
-}
-
-func (f *streamFIFO) len() int { return len(f.q) - f.head }
-
-func (f *streamFIFO) push(s ...*cpu.Stream) { f.q = append(f.q, s...) }
-
-// pop removes and returns the oldest stream; the queue must not be empty.
-func (f *streamFIFO) pop() *cpu.Stream {
-	s := f.q[f.head]
-	f.q[f.head] = nil
-	f.head++
-	if f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return s
-}
-
-// last returns the newest stream; the queue must not be empty.
-func (f *streamFIFO) last() *cpu.Stream { return f.q[len(f.q)-1] }
-
-// moveTo appends every queued stream to dst, oldest first, and empties f.
-func (f *streamFIFO) moveTo(dst *streamFIFO) int {
-	n := f.len()
-	dst.push(f.q[f.head:]...)
-	clear(f.q)
-	f.q, f.head = f.q[:0], 0
-	return n
 }

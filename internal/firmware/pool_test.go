@@ -65,12 +65,12 @@ func newRig(nCores int) *rig {
 // cycle per op.
 func (r *rig) complete(s *cpu.Stream) {
 	for i := range s.Ops {
-		if f := s.Ops[i].OnComplete; f != nil {
-			f()
+		if done := s.Ops[i].Done; done != 0 {
+			s.Owner.Complete(done)
 		}
 	}
-	if s.OnDone != nil {
-		s.OnDone()
+	if s.Done != 0 {
+		s.Owner.Complete(s.Done)
 	}
 	r.engine.RunFor(sim.Picoseconds(len(s.Ops)) * 6 * sim.Nanosecond)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ethernet"
+	"repro/internal/sim"
 )
 
 type fakeSource struct {
@@ -30,7 +31,7 @@ func frames(n int) []*Frame {
 func TestDelayFiresAfterLatency(t *testing.T) {
 	h := New(Config{DMALatencyCycles: 5, SendRing: 8, RecvRing: 8, PostBatch: 4})
 	fired := -1
-	h.Delay(func() { fired = 0 })
+	h.Delay(sim.CompleteFunc(func(uint32) { fired = 0 }), 0)
 	for i := 0; i < 10; i++ {
 		if fired >= 0 {
 			break

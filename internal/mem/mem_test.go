@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestScratchpadBankInterleave(t *testing.T) {
@@ -182,7 +184,7 @@ func TestAlignedLen(t *testing.T) {
 func TestSDRAMTransferCompletesAndCountsBandwidth(t *testing.T) {
 	s := NewSDRAM(DefaultSDRAMConfig())
 	done := false
-	s.Enqueue(0, Transfer{Addr: 4, Len: 1518, Write: true, OnDone: func() { done = true }})
+	s.Enqueue(0, Transfer{Addr: 4, Len: 1518, Write: true, Owner: sim.CompleteFunc(func(uint32) { done = true })})
 	for c := uint64(0); c < 200 && !done; c++ {
 		s.Tick(c)
 	}
@@ -206,9 +208,10 @@ func TestSDRAMTransferCompletesAndCountsBandwidth(t *testing.T) {
 func TestSDRAMSequentialBurstsReuseOpenRow(t *testing.T) {
 	s := NewSDRAM(DefaultSDRAMConfig())
 	n := 0
+	count := sim.CompleteFunc(func(uint32) { n++ })
 	// Two bursts within the same 2 KB row: one activation only.
-	s.Enqueue(0, Transfer{Addr: 0, Len: 512, OnDone: func() { n++ }})
-	s.Enqueue(0, Transfer{Addr: 512, Len: 512, OnDone: func() { n++ }})
+	s.Enqueue(0, Transfer{Addr: 0, Len: 512, Owner: count})
+	s.Enqueue(0, Transfer{Addr: 512, Len: 512, Owner: count})
 	for c := uint64(0); c < 200 && n < 2; c++ {
 		s.Tick(c)
 	}
@@ -223,9 +226,9 @@ func TestSDRAMSequentialBurstsReuseOpenRow(t *testing.T) {
 func TestSDRAMRoundRobinAcrossPorts(t *testing.T) {
 	s := NewSDRAM(DefaultSDRAMConfig())
 	var order []int
+	record := sim.CompleteFunc(func(p uint32) { order = append(order, int(p)) })
 	for p := 0; p < 4; p++ {
-		p := p
-		s.Enqueue(p, Transfer{Addr: uint32(p) * 8192, Len: 64, OnDone: func() { order = append(order, p) }})
+		s.Enqueue(p, Transfer{Addr: uint32(p) * 8192, Len: 64, Owner: record, Tag: uint32(p)})
 	}
 	for c := uint64(0); c < 400 && len(order) < 4; c++ {
 		s.Tick(c)
@@ -253,12 +256,12 @@ func TestSDRAMSustainedStreamNearPeak(t *testing.T) {
 	// sustain near-peak bandwidth: few activations, high bus utilization.
 	s := NewSDRAM(DefaultSDRAMConfig())
 	addr := uint32(0)
-	var issue func()
-	issue = func() {
-		s.Enqueue(0, Transfer{Addr: addr, Len: 1518, OnDone: issue})
+	var issue sim.CompleteFunc
+	issue = func(uint32) {
+		s.Enqueue(0, Transfer{Addr: addr, Len: 1518, Owner: issue})
 		addr += 1518
 	}
-	issue()
+	issue(0)
 	const cycles = 100000
 	for c := uint64(0); c < cycles; c++ {
 		s.Tick(c)

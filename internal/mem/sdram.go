@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -29,10 +30,7 @@ type SDRAM struct {
 	openRow    []int64
 	activateCy int
 
-	// queues are head-indexed FIFOs: popping advances qhead so the backing
-	// arrays are reused instead of reallocated every few bursts.
-	queues  [][]Transfer
-	qhead   []int
+	queues  []fifo.Queue[Transfer]
 	current Transfer
 	active  bool
 	// remaining cycles in the current burst, including activation overhead
@@ -53,12 +51,14 @@ type SDRAM struct {
 	wake func() // the clock domain's wake function (sim.Sleeper)
 }
 
-// A Transfer is one burst between an assist and the SDRAM.
+// A Transfer is one burst between an assist and the SDRAM. When it
+// finishes, Owner (if any) receives Tag.
 type Transfer struct {
-	Addr   uint32
-	Len    int
-	Write  bool
-	OnDone func()
+	Addr  uint32
+	Len   int
+	Write bool
+	Tag   uint32
+	Owner sim.Completer
 
 	queuedAt uint64
 }
@@ -92,8 +92,7 @@ func NewSDRAM(cfg SDRAMConfig) *SDRAM {
 		banks:      cfg.Banks,
 		openRow:    make([]int64, cfg.Banks),
 		activateCy: cfg.ActivateCy,
-		queues:     make([][]Transfer, cfg.Ports),
-		qhead:      make([]int, cfg.Ports),
+		queues:     make([]fifo.Queue[Transfer], cfg.Ports),
 		Latency:    stats.NewHistogram(4, 8, 16, 27, 64, 128, 256),
 	}
 	for i := range s.openRow {
@@ -109,12 +108,12 @@ func (s *SDRAM) Enqueue(port int, t Transfer) {
 		s.wake()
 	}
 	t.queuedAt = s.now
-	s.queues[port] = append(s.queues[port], t)
+	s.queues[port].Push(t)
 }
 
 // QueueLen returns the number of transfers waiting (plus in progress) for a
 // port.
-func (s *SDRAM) QueueLen(port int) int { return len(s.queues[port]) - s.qhead[port] }
+func (s *SDRAM) QueueLen(port int) int { return s.queues[port].Len() }
 
 // alignedLen returns the burst length after rounding the start down and the
 // end up to 8-byte boundaries.
@@ -140,8 +139,8 @@ func (s *SDRAM) Tick(cycle uint64) {
 		t := s.current
 		s.current, s.active = Transfer{}, false
 		s.Latency.Observe(cycle + 1 - t.queuedAt)
-		if t.OnDone != nil {
-			t.OnDone()
+		if t.Owner != nil {
+			t.Owner.Complete(t.Tag)
 		}
 		// Start the next burst immediately so back-to-back streams sustain
 		// full bandwidth.
@@ -153,15 +152,10 @@ func (s *SDRAM) Tick(cycle uint64) {
 func (s *SDRAM) start(cycle uint64) {
 	for i := 1; i <= len(s.queues); i++ {
 		p := (s.rr + i) % len(s.queues)
-		if s.qhead[p] == len(s.queues[p]) {
+		if s.queues[p].Len() == 0 {
 			continue
 		}
-		t := s.queues[p][s.qhead[p]]
-		s.queues[p][s.qhead[p]] = Transfer{}
-		s.qhead[p]++
-		if s.qhead[p] == len(s.queues[p]) {
-			s.queues[p], s.qhead[p] = s.queues[p][:0], 0
-		}
+		t := s.queues[p].Pop()
 		s.rr = p
 
 		al := alignedLen(t.Addr, t.Len)

@@ -34,6 +34,7 @@ func TestSDRAMSleepsLikeTickedRun(t *testing.T) {
 		}
 		var log strings.Builder
 		n := 0
+		done := sim.CompleteFunc(func(i uint32) { fmt.Fprintf(&log, "%d@%d ", i, e.Now()) })
 		cpu.Add(sim.TickFunc(func(c uint64) {
 			// Busy windows with overlapping requests, then idle stretches.
 			if c%2000 > 700 || (c%37 != 0 && c%53 != 0) {
@@ -43,7 +44,7 @@ func TestSDRAMSleepsLikeTickedRun(t *testing.T) {
 			n++
 			s.Enqueue(i%4, Transfer{
 				Addr: uint32(i*1531) % (1 << 20), Len: 42 + (i*397)%1500, Write: i%3 == 0,
-				OnDone: func() { fmt.Fprintf(&log, "%d@%d ", i, e.Now()) },
+				Owner: done, Tag: uint32(i),
 			})
 		}))
 		for _, d := range []sim.Picoseconds{60 * sim.Microsecond, 4001, 2000, 40*sim.Microsecond + 3} {

@@ -66,6 +66,20 @@ type TickFunc func(cycle uint64)
 // Tick calls f(cycle).
 func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 
+// A Completer owns work it hands to another component, which calls Complete
+// with the tag the owner attached once that work finishes. A tag is the
+// owner's typed completion record, which it dispatches with a switch, so a
+// pending completion is a value in a queue rather than a closure on the heap.
+type Completer interface {
+	Complete(tag uint32)
+}
+
+// CompleteFunc adapts a function to the Completer interface.
+type CompleteFunc func(tag uint32)
+
+// Complete calls f(tag).
+func (f CompleteFunc) Complete(tag uint32) { f(tag) }
+
 // A Sleeper is a Ticker that can spare the engine ticks that would only do
 // bookkeeping. The engine asks Sleep right after each of the ticker's real
 // ticks and skips the ticker for as many ticks as it allows, while the rest

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -110,25 +109,22 @@ type Job struct {
 
 // Outcome is what a RunFunc produces for one job: a report for KindNIC
 // jobs, and optional kind-specific auxiliary data (e.g. the Figure 3 cache
-// sweep points) as raw JSON. TickCosts carries the per-domain tick-cost
-// breakdown when the run was executed with tick profiling enabled.
+// sweep points) as raw JSON.
 type Outcome struct {
-	Report    *core.Report
-	Aux       json.RawMessage
-	TickCosts []sim.DomainCost
+	Report *core.Report
+	Aux    json.RawMessage
 }
 
 // Result is one finished job: the outcome plus identity and provenance.
 // Results serialize one-per-line into the JSONL store.
 type Result struct {
-	ID         string           `json:"id"`
-	Hash       string           `json:"hash"`
-	Spec       Spec             `json:"spec"`
-	Report     *core.Report     `json:"report,omitempty"`
-	Aux        json.RawMessage  `json:"aux,omitempty"`
-	TickCosts  []sim.DomainCost `json:"tick_costs,omitempty"`
-	Err        string           `json:"err,omitempty"`
-	ElapsedSec float64          `json:"elapsed_sec"`
+	ID         string          `json:"id"`
+	Hash       string          `json:"hash"`
+	Spec       Spec            `json:"spec"`
+	Report     *core.Report    `json:"report,omitempty"`
+	Aux        json.RawMessage `json:"aux,omitempty"`
+	Err        string          `json:"err,omitempty"`
+	ElapsedSec float64         `json:"elapsed_sec"`
 
 	// Cached is true when the result was served from the store or the
 	// runner's in-memory memo rather than simulated. Not persisted.
@@ -138,13 +134,12 @@ type Result struct {
 // OK reports whether the job completed successfully.
 func (r Result) OK() bool { return r.Err == "" }
 
-// Canonical returns a copy with provenance fields (elapsed wall time, tick
-// costs, cache flag) zeroed, so results from different executions of the
-// same jobs — serial vs parallel, fresh vs resumed — compare byte-identical
-// under json.Marshal.
+// Canonical returns a copy with provenance fields (elapsed wall time, cache
+// flag) zeroed, so results from different executions of the same jobs —
+// serial vs parallel, fresh vs resumed — compare byte-identical under
+// json.Marshal.
 func (r Result) Canonical() Result {
 	r.ElapsedSec = 0
-	r.TickCosts = nil
 	r.Cached = false
 	return r
 }

@@ -171,6 +171,8 @@ func StationFilter() *ethernet.AddressFilter {
 // lands on the same cycle in every run.
 type Adversary struct {
 	Spec TrafficSpec
+	// Free supplies the frames; nil allocates each one.
+	Free *host.FrameList
 
 	udpSize     int
 	withPayload bool
@@ -291,7 +293,8 @@ func (a *Adversary) frame() *host.Frame {
 // carry no payload bytes — the MAC discards them before any byte is read.
 func (a *Adversary) hostile() *host.Frame {
 	a.HostileOffered.Inc()
-	f := &host.Frame{Seq: a.seq, Dst: StationMAC}
+	f := a.Free.Get()
+	f.Seq, f.Dst = a.seq, StationMAC
 	a.seq++
 	switch a.Spec.Class {
 	case ClassOversize:
@@ -333,7 +336,8 @@ func (a *Adversary) wellFormed(udp int, dst ethernet.MAC, crit bool) *host.Frame
 	if a.jumbo {
 		size = ethernet.JumboFrameSizeForUDP(udp)
 	}
-	f := &host.Frame{Seq: a.seq, UDPSize: udp, Size: size, Dst: dst, Crit: crit}
+	f := a.Free.Get()
+	*f = host.Frame{Seq: a.seq, UDPSize: udp, Size: size, Dst: dst, Crit: crit}
 	a.seq++
 	a.flowIdentity(f)
 	if a.withPayload {

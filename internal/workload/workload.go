@@ -20,6 +20,8 @@ type Generator struct {
 	// Jumbo sizes frames with the jumbo frame limit, allowing datagrams up
 	// to ethernet.JumboMaxUDPPayload. Requires a jumbo-enabled controller.
 	Jumbo bool
+	// Free supplies the frames; nil allocates each one.
+	Free *host.FrameList
 
 	seq     uint64
 	payload []byte
@@ -43,11 +45,8 @@ func (g *Generator) Frame() *host.Frame {
 	if g.Jumbo {
 		size = ethernet.JumboFrameSizeForUDP(g.UDPSize)
 	}
-	f := &host.Frame{
-		Seq:     g.seq,
-		UDPSize: g.UDPSize,
-		Size:    size,
-	}
+	f := g.Free.Get()
+	f.Seq, f.UDPSize, f.Size = g.seq, g.UDPSize, size
 	g.seq++
 	if g.WithPayload {
 		// Embed the (possibly truncated) sequence tag so the host-side sink
@@ -111,12 +110,15 @@ type TxSink struct {
 	Frames     stats.Counter
 	Bytes      stats.Counter // UDP payload bytes
 	OutOfOrder stats.Counter
+	// Free, when non-nil, takes back every transmitted frame.
+	Free *host.FrameList
 
 	next uint64
 	have bool
 }
 
-// Transmit consumes one transmitted frame handle (a *host.Frame).
+// Transmit consumes one transmitted frame handle (a *host.Frame) and hands
+// the frame back to Free.
 func (s *TxSink) Transmit(handle any) {
 	f := handle.(*host.Frame)
 	s.Frames.Inc()
@@ -128,4 +130,5 @@ func (s *TxSink) Transmit(handle any) {
 	}
 	s.next = f.Seq + 1
 	s.have = true
+	s.Free.Put(f)
 }
