@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
 
@@ -169,6 +170,12 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-tx-slots", mutate(func(c *Config) { c.TxSlots = 0 })},
 		{"zero-dma-depth", mutate(func(c *Config) { c.DMADepth = 0 })},
 		{"bad-host-ring", mutate(func(c *Config) { c.Host.SendRing = 0 })},
+		{"nan-mhz", mutate(func(c *Config) { c.CPUMHz = math.NaN() })},
+		{"inf-sdram", mutate(func(c *Config) { c.SDRAMMHz = math.Inf(1) })},
+		{"unknown-ordering", mutate(func(c *Config) { c.Ordering = 2 })},
+		{"unknown-parallelism", mutate(func(c *Config) { c.Parallelism = -1 })},
+		{"slots-over-queue-flags", mutate(func(c *Config) { c.RxQueues = 16 })},
+		{"send-ring-over-flags", mutate(func(c *Config) { c.Host.SendRing = 8192 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.cfg.Validate(); err == nil {
