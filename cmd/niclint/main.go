@@ -1,5 +1,5 @@
 // Command niclint runs the repository's custom static-analysis suite
-// (internal/lint): detlint, hotpath, unitlint, exhaustive, guardlint, and
+// (internal/lint): detlint, hotpath, unitlint, exhaustive, and
 // hashlint. It loads and type-checks packages with the
 // standard library only — no module downloads — so it runs in hermetic CI.
 //

@@ -109,8 +109,10 @@ func main() {
 		}
 	}
 	var rec *obs.Recorder
-	if *traceOut != "" || *latency {
-		rec = n.EnableObs(obs.Config{FrameSample: *traceSample})
+	if *traceOut != "" {
+		rec = n.EnableObs(obs.Config{Events: obs.DefaultEvents, FrameSample: *traceSample})
+	} else if *latency {
+		rec = n.EnableObs(obs.Config{})
 	}
 	rep := n.Run(warmupPs, sim.Picoseconds(*measure)*sim.Microsecond)
 	if *traceOut != "" {

@@ -167,6 +167,12 @@ const (
 	sdramMACRx
 )
 
+// everyEdge, set only by tests (export_test.go), hides sim.Sleeper from
+// every ticker New registers, so each ticks on every edge of its domain and
+// no wake function is installed: the engine as it was before tickers slept,
+// kept as the reference the sleeping engine must match byte for byte.
+var everyEdge bool
+
 // New assembles a controller.
 func New(cfg Config) *NIC {
 	if err := cfg.Validate(); err != nil {
@@ -251,30 +257,36 @@ func New(cfg Config) *NIC {
 	// the instruction memory come after every requester, so a request made
 	// in a cycle is served from that cycle and a core they wake resumes at
 	// the next edge.
+	add := func(d *sim.Domain, t sim.Ticker) {
+		if everyEdge {
+			t = sim.TickFunc(t.Tick) // hides sim.Sleeper
+		}
+		d.Add(t)
+	}
 	cpuD := sim.NewDomain("cpu", cfg.CPUMHz*1e6)
 	for _, c := range n.Cores {
-		cpuD.Add(c)
+		add(cpuD, c)
 	}
-	cpuD.Add(n.As.DMARead)
-	cpuD.Add(n.As.DMAWrite)
-	cpuD.Add(n.As.MACTx)
-	cpuD.Add(n.As.MACRx)
-	cpuD.Add(n.Xbar)
-	cpuD.Add(n.IMem)
+	add(cpuD, n.As.DMARead)
+	add(cpuD, n.As.DMAWrite)
+	add(cpuD, n.As.MACTx)
+	add(cpuD, n.As.MACRx)
+	add(cpuD, n.Xbar)
+	add(cpuD, n.IMem)
 
 	sdramD := sim.NewDomain("sdram", cfg.SDRAMMHz*1e6)
-	sdramD.Add(n.SDRAM)
+	add(sdramD, n.SDRAM)
 
 	macD := sim.NewDomain("mac", assist.MACHz)
-	macD.Add(assist.TxWire{M: n.As.MACTx})
-	macD.Add(assist.RxWire{M: n.As.MACRx})
+	add(macD, assist.TxWire{M: n.As.MACTx})
+	add(macD, assist.RxWire{M: n.As.MACRx})
 
 	hostD := sim.NewDomain("host", 133e6)
-	hostD.Add(n.Host)
+	add(hostD, n.Host)
 	// The invariant checker runs on every build point, faulted or not; it
 	// only reads functional state, so it cannot perturb the simulation.
 	n.checker = newInvariantChecker(n)
-	hostD.Add(n.checker)
+	add(hostD, n.checker)
 
 	n.cpuD = cpuD
 	n.Engine = sim.NewEngine(cpuD, sdramD, macD, hostD)
@@ -339,9 +351,10 @@ func (n *NIC) AttachTraffic(udpSize int, ts workload.TrafficSpec, withPayload bo
 }
 
 // AttachSLO arms a latency/drop service-level objective for this run; Run
-// evaluates it into Report.SLO. Latency bounds enable frame-lifecycle
-// observation for the run (per-spec, so sweeps stay deterministic without a
-// global observation flag).
+// evaluates it into Report.SLO. Latency bounds enable latency-only
+// frame-lifecycle observation for the run (per-spec, so sweeps stay
+// deterministic without a global observation flag); a later EnableObs can
+// still add a trace.
 func (n *NIC) AttachSLO(s SLO) error {
 	if err := s.Validate(); err != nil {
 		return err

@@ -166,9 +166,8 @@ rmw_none:
 
 // A Kernel is a loaded, measurable firmware routine.
 type Kernel struct {
-	cpu   *vm.CPU
-	prog  *asm.Program
-	trace []trace.Inst
+	cpu  *vm.CPU
+	prog *asm.Program
 }
 
 // retAddr is a break instruction placed after the program so "jr $ra"
@@ -191,7 +190,6 @@ func loadKernel(src string) (*Kernel, error) {
 	if err := k.cpu.Load(brk); err != nil {
 		return nil, err
 	}
-	k.cpu.Trace = func(r trace.Inst) { k.trace = append(k.trace, r) }
 	c := k.cpu
 	c.Regs[4] = flagsBase // $a0
 	c.Regs[5] = lockAddr  // $a1
@@ -224,9 +222,6 @@ func (k *Kernel) call(label string, frameIndex uint32) (Cost, error) {
 	after := Cost{c.Instructions, c.Loads, c.Stores, c.RMWs}
 	return after.Sub(before), nil
 }
-
-// Trace returns all instructions executed so far on this kernel's CPU.
-func (k *Kernel) Trace() []trace.Inst { return k.trace }
 
 // Results bundles the amortized per-frame ordering costs of both
 // implementations, measured over the given commit-run length (the number of
@@ -354,6 +349,8 @@ func OrderingTrace(nFrames, runLength int) ([]trace.Inst, error) {
 	if err != nil {
 		return nil, err
 	}
+	var out []trace.Inst
+	sw.cpu.Trace = func(r trace.Inst) { out = append(out, r) }
 	frame := uint32(0)
 	for b := 0; b < nFrames/runLength; b++ {
 		for i := 0; i < runLength; i++ {
@@ -366,5 +363,5 @@ func OrderingTrace(nFrames, runLength int) ([]trace.Inst, error) {
 			return nil, err
 		}
 	}
-	return sw.Trace(), nil
+	return out, nil
 }

@@ -13,10 +13,10 @@ func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
 		"//nic:hotpath",
 		"// nic:unit ps",
-		"//nic:guardedby mu",
-		"//nic:guardedby mu — trailing prose after the mutex name",
+		"//nic:hashstable deadbeefcafe — trailing prose after the signature",
 		"//nic:hashstable deadbeefcafe",
-		"//nic:locked mu",
+		"//nic:unit ns",
+		"//nic:nonexhaustive — trailing prose after a bare directive",
 		"// not a directive",
 		"//nic:",
 		"//nic: spaced",

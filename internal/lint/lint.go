@@ -21,11 +21,6 @@
 //     unit types (//nic:unit) and multiplication of two unit quantities.
 //   - exhaustive: switches over enum types annotated //nic:exhaustive must
 //     cover every declared constant.
-//   - guardlint: every read/write of a //nic:guardedby-annotated struct
-//     field or package variable must happen with the named mutex held,
-//     tracked through Lock/Unlock/defer Unlock/RLock flow inside each
-//     function (writes under RLock are flagged; //nic:locked names helper
-//     preconditions, //nic:unguarded waives constructor/test sites).
 //   - hashlint: structs feeding committed spec/report hashes carry
 //     //nic:hashstable <sig> pinning their always-encoding field surface —
 //     new fields must be ,omitempty or the signature (and every committed
@@ -47,14 +42,8 @@
 //   - //nic:unitconv      (line) sanctioned cross-unit conversion (a rate
 //     helper applying an explicit period or scale)
 //   - //nic:nonexhaustive (line) switch intentionally handles a subset
-//   - //nic:guardedby <mu> (field/var doc or trailing comment) accesses
-//     require the named mutex — a sibling field or package-level variable
-//   - //nic:locked <mu>   (func doc) callers must already hold the mutex
-//     (the *Locked helper convention); the body is checked as if held
 //   - //nic:hashstable <sig> (type doc) struct feeds committed hashes; sig
 //     pins the always-encoding field surface (hashlint prints it when empty)
-//   - //nic:unguarded     (line) sanctioned unlocked access (constructors,
-//     single-threaded setup, test plumbing)
 package lint
 
 import (
@@ -79,7 +68,7 @@ type Analyzer struct {
 
 // All returns the full niclint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Hotpath, Unitlint, Exhaustive, Guardlint, Hashlint}
+	return []*Analyzer{Detlint, Hotpath, Unitlint, Exhaustive, Hashlint}
 }
 
 // A Diagnostic is one finding.

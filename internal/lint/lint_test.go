@@ -29,25 +29,14 @@ func TestExhaustiveFixtures(t *testing.T) {
 	linttest.Run(t, fixtures, lint.Exhaustive, "fixture/exhaustive")
 }
 
-func TestGuardlintFixtures(t *testing.T) {
-	linttest.Run(t, fixtures, lint.Guardlint, "fixture/guardlint")
-}
-
-// TestGuardlintEdgeCases covers defer-after-early-return, RWMutex read
-// paths, and nested independent locks.
-func TestGuardlintEdgeCases(t *testing.T) {
-	linttest.Run(t, fixtures, lint.Guardlint, "fixture/guardlint/edge")
-}
-
 func TestHashlintFixtures(t *testing.T) {
 	linttest.Run(t, fixtures, lint.Hashlint, "fixture/hashlint")
 }
 
 // TestConcurrencyContractPackagesClean pins the packages that sweep workers
-// run concurrently — the sweep store and runner, which carry the
-// //nic:guardedby contracts, experiments, which drives simulations from the
-// runner's pool, and the firmware every one of those simulations runs —
-// clean under guardlint and hashlint even in -short mode, where the
+// run concurrently — the sweep store and runner, experiments, which drives
+// simulations from the runner's pool, and the firmware every one of those
+// simulations runs — clean under hashlint even in -short mode, where the
 // whole-tree check is skipped. Patterns resolve against the module root,
 // and one naming no Go files loads nothing, so the package count is checked.
 func TestConcurrencyContractPackagesClean(t *testing.T) {
@@ -63,7 +52,7 @@ func TestConcurrencyContractPackagesClean(t *testing.T) {
 	if len(pkgs) != len(patterns) {
 		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(patterns))
 	}
-	diags, err := prog.Run(pkgs, []*lint.Analyzer{lint.Guardlint, lint.Hashlint})
+	diags, err := prog.Run(pkgs, []*lint.Analyzer{lint.Hashlint})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 )
 
 var (
-	progMu    sync.Mutex
-	progCache = map[string]*lint.Program{} //nic:guardedby progMu
+	progMu    sync.Mutex // guards progCache
+	progCache = map[string]*lint.Program{}
 )
 
 // program returns a shared Program for the fixture module rooted at dir, so

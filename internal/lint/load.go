@@ -28,12 +28,6 @@ type Program struct {
 	units map[types.Object]string
 	// exhaustive records //nic:exhaustive-annotated enum type names.
 	exhaustive map[types.Object]bool
-	// guarded maps a //nic:guardedby-annotated struct field or package-level
-	// variable to the mutex that must be held around every access.
-	guarded map[types.Object]*guardInfo
-	// locked maps a //nic:locked-annotated function to the mutex its callers
-	// must already hold (the *Locked helper convention).
-	locked map[types.Object]*guardInfo
 	// hashPins maps a //nic:hashstable-annotated struct type to its pinned
 	// always-encoding field signature.
 	hashPins map[types.Object]*hashPin
@@ -80,8 +74,6 @@ func NewProgram(dir string) (*Program, error) {
 		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		units:      map[types.Object]string{},
 		exhaustive: map[types.Object]bool{},
-		guarded:    map[types.Object]*guardInfo{},
-		locked:     map[types.Object]*guardInfo{},
 		hashPins:   map[types.Object]*hashPin{},
 	}, nil
 }
@@ -357,131 +349,10 @@ func (prog *Program) indexDirectives(pkg *Package) {
 						}
 					}
 				}
-				if stype, ok := ts.Type.(*ast.StructType); ok {
-					prog.indexGuardedFields(pkg, stype)
-				}
 			}
 			return true
 		})
-		prog.indexDeclDirectives(pkg, f)
 	}
-}
-
-// indexGuardedFields registers //nic:guardedby annotations on struct fields
-// (doc or trailing comment), resolving the mutex name against sibling fields
-// first and the package scope second.
-func (prog *Program) indexGuardedFields(pkg *Package, stype *ast.StructType) {
-	for _, field := range stype.Fields.List {
-		for _, doc := range [2]*ast.CommentGroup{field.Doc, field.Comment} {
-			if doc == nil {
-				continue
-			}
-			for _, c := range doc.List {
-				name, args := parseDirective(c.Text)
-				if name != "guardedby" {
-					continue
-				}
-				muName := firstArg(args)
-				mu := lookupStructField(pkg, stype, muName)
-				if mu == nil {
-					mu = pkg.Types.Scope().Lookup(muName)
-				}
-				for _, fn := range field.Names {
-					if fobj := pkg.Info.Defs[fn]; fobj != nil {
-						prog.guarded[fobj] = &guardInfo{muName: muName, mu: mu, pos: fn.Pos()}
-					}
-				}
-			}
-		}
-	}
-}
-
-// indexDeclDirectives registers //nic:locked function annotations and
-// //nic:guardedby annotations on package-level variables.
-func (prog *Program) indexDeclDirectives(pkg *Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Doc == nil {
-				continue
-			}
-			for _, c := range d.Doc.List {
-				name, args := parseDirective(c.Text)
-				if name != "locked" {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				muName := firstArg(args)
-				prog.locked[fn] = &guardInfo{muName: muName, mu: resolveLockedMu(pkg, fn, muName), pos: d.Name.Pos()}
-			}
-		case *ast.GenDecl:
-			if d.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range d.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, doc := range [3]*ast.CommentGroup{d.Doc, vs.Doc, vs.Comment} {
-					if doc == nil {
-						continue
-					}
-					for _, c := range doc.List {
-						name, args := parseDirective(c.Text)
-						if name != "guardedby" {
-							continue
-						}
-						muName := firstArg(args)
-						mu := pkg.Types.Scope().Lookup(muName)
-						for _, vn := range vs.Names {
-							if vobj := pkg.Info.Defs[vn]; vobj != nil {
-								prog.guarded[vobj] = &guardInfo{muName: muName, mu: mu, pos: vn.Pos()}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// lookupStructField finds the field named muName in the struct's own field
-// list, or nil.
-func lookupStructField(pkg *Package, stype *ast.StructType, muName string) types.Object {
-	for _, field := range stype.Fields.List {
-		for _, fn := range field.Names {
-			if fn.Name == muName {
-				return pkg.Info.Defs[fn]
-			}
-		}
-	}
-	return nil
-}
-
-// resolveLockedMu resolves a //nic:locked mutex name: a field of the
-// receiver's struct for methods, a package-level variable for plain
-// functions.
-func resolveLockedMu(pkg *Package, fn *types.Func, muName string) types.Object {
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if st, ok := t.Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i).Name() == muName {
-					return st.Field(i)
-				}
-			}
-		}
-		return nil
-	}
-	return pkg.Types.Scope().Lookup(muName)
 }
 
 // firstArg returns the first whitespace-separated token of a directive's

@@ -18,6 +18,9 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	if r == nil {
 		return fmt.Errorf("obs: no recorder")
 	}
+	if r.ring == nil {
+		return fmt.Errorf("obs: recorder keeps no trace")
+	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
 	first := true

@@ -11,15 +11,19 @@
 // functions of the (deterministic) simulation, making traces byte-identical
 // across runs of the same seed and configuration.
 //
-// Two products come out of one stream of hooks:
+// Two products come out of one stream of hooks, and a recorder pays only for
+// the ones it keeps:
 //
-//   - Per-frame latency: each direction keeps a sequence-indexed ring of
-//     per-stage timestamps; when a frame reaches its final stage the total
-//     and per-stage residencies fold into histograms (LatencyReport).
-//   - An event trace: a fixed-capacity keep-last ring of typed events
-//     (stream spans on cores, wire spans on the MACs, in-flight counters on
-//     the DMA engines, fault instants, sampled frame-stage instants),
-//     exportable in Chrome trace_event format (WriteChromeTrace).
+//   - Per-frame latency, always: each direction keeps a sequence-indexed
+//     ring of per-stage timestamps; when a frame reaches its final stage the
+//     total and per-stage residencies fold into histograms (LatencyReport).
+//     The two frame rings take about 1 MB.
+//   - An event trace, only when Config.Events > 0 (or after KeepTrace): a
+//     fixed-capacity keep-last ring of typed events (stream spans on cores,
+//     wire spans on the MACs, in-flight counters on the DMA engines, fault
+//     instants, sampled frame-stage instants), exportable in Chrome
+//     trace_event format (WriteChromeTrace). DefaultEvents entries take
+//     5 MB. Without a ring the trace methods return at once.
 package obs
 
 import "repro/internal/sim"
@@ -113,8 +117,9 @@ type event struct {
 
 // Config sizes a Recorder.
 type Config struct {
-	// Events is the trace-ring capacity; the ring keeps the most recent
-	// events and counts the rest as dropped. <= 0 selects DefaultEvents.
+	// Events switches the event trace on and sets its ring capacity; the
+	// ring keeps the most recent events and counts the rest as dropped.
+	// <= 0 keeps no trace: the recorder aggregates latency only.
 	Events int
 	// FrameSample emits every k-th frame's lifecycle stages into the trace
 	// ring as instants (latency aggregation always sees every frame).
@@ -122,7 +127,7 @@ type Config struct {
 	FrameSample int
 }
 
-// DefaultEvents is the default trace-ring capacity.
+// DefaultEvents is the usual trace-ring capacity (40 B an event, 5 MB).
 const DefaultEvents = 1 << 17
 
 // latRingBits sizes the per-direction frame-latency rings: 8192 slots,
@@ -174,26 +179,34 @@ func (q *queueTracker) occStep(at sim.Picoseconds, delta int) {
 	}
 }
 
-// NewRecorder builds a recorder. now supplies the current simulated time
-// (bind it to the engine's Now after the engine is assembled).
+// NewRecorder builds a recorder that aggregates latency and, when
+// cfg.Events > 0, keeps an event trace. now supplies the current simulated
+// time (bind it to the engine's Now after the engine is assembled).
 func NewRecorder(cfg Config, now func() sim.Picoseconds) *Recorder {
-	if cfg.Events <= 0 {
-		cfg.Events = DefaultEvents
-	}
-	if cfg.FrameSample < 1 {
-		cfg.FrameSample = 1
-	}
-	r := &Recorder{
-		now:    now,
-		ring:   make([]event, cfg.Events),
-		sample: uint64(cfg.FrameSample),
-	}
+	r := &Recorder{now: now}
 	r.frameTrack[Send] = -1
 	r.frameTrack[Recv] = -1
 	r.lat[Send].init(NumSendStages)
 	r.lat[Recv].init(NumRecvStages)
+	r.KeepTrace(cfg)
 	return r
 }
+
+// KeepTrace gives a recorder without a trace an event ring of cfg.Events
+// entries that samples every cfg.FrameSample-th frame, and reports whether
+// it did; cfg.Events <= 0, or a ring already kept, leaves the recorder as it
+// is. Call during wiring, before the run.
+func (r *Recorder) KeepTrace(cfg Config) bool {
+	if cfg.Events <= 0 || r.ring != nil {
+		return false
+	}
+	r.ring = make([]event, cfg.Events)
+	r.sample = uint64(max(cfg.FrameSample, 1))
+	return true
+}
+
+// Tracing reports whether the recorder keeps an event trace.
+func (r *Recorder) Tracing() bool { return r != nil && r.ring != nil }
 
 // AddTrack registers a named trace track (a Perfetto thread) and returns its
 // id. Call during wiring, before the run.
@@ -219,7 +232,7 @@ func (r *Recorder) record(ev event) {
 //
 //nic:hotpath
 func (r *Recorder) Begin(track int32, name string) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(event{at: r.now(), kind: evBegin, track: track, name: name})
@@ -229,7 +242,7 @@ func (r *Recorder) Begin(track int32, name string) {
 //
 //nic:hotpath
 func (r *Recorder) End(track int32, name string) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(event{at: r.now(), kind: evEnd, track: track, name: name})
@@ -239,7 +252,7 @@ func (r *Recorder) End(track int32, name string) {
 //
 //nic:hotpath
 func (r *Recorder) Instant(track int32, name string) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(event{at: r.now(), kind: evInstant, track: track, name: name})
@@ -249,7 +262,7 @@ func (r *Recorder) Instant(track int32, name string) {
 //
 //nic:hotpath
 func (r *Recorder) Counter(track int32, name string, val int) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(event{at: r.now(), kind: evCounter, track: track, name: name, val: uint64(val)})
@@ -279,7 +292,7 @@ func (r *Recorder) FrameStage(dir Dir, stage int, seq uint64) {
 	}
 	at := r.now()
 	r.lat[dir].stage(stage, seq, at)
-	if t := r.frameTrack[dir]; t >= 0 && seq%r.sample == 0 {
+	if t := r.frameTrack[dir]; t >= 0 && r.ring != nil && seq%r.sample == 0 {
 		r.record(event{at: at, kind: evStage, dir: dir, stage: uint8(stage), track: t, val: seq})
 	}
 }
@@ -344,7 +357,7 @@ func (r *Recorder) ResetLatency() {
 }
 
 // EventsRecorded returns total events recorded and how many the ring
-// dropped (overwrote).
+// dropped (overwrote); 0 and 0 without a trace.
 func (r *Recorder) EventsRecorded() (total, dropped uint64) {
 	if r == nil {
 		return 0, 0

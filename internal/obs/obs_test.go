@@ -156,3 +156,46 @@ func TestFrameSampling(t *testing.T) {
 		t.Errorf("EventsRecorded() = %d trace events, want 2 (sampled)", total)
 	}
 }
+
+// TestLatencyOnlyRecorder checks that a recorder built without Events keeps
+// no trace yet aggregates latency as a traced one does, and that KeepTrace
+// adds the ring afterwards.
+func TestLatencyOnlyRecorder(t *testing.T) {
+	clk := &fakeClock{at: sim.Microsecond}
+	r := NewRecorder(Config{}, clk.now)
+	if r.Tracing() || r.ring != nil {
+		t.Fatal("a recorder without Events keeps a trace ring")
+	}
+	trk := r.AddTrack("t")
+	r.SetFrameTrack(Send, trk)
+	r.Begin(trk, "x")
+	r.End(trk, "x")
+	r.Instant(trk, "x")
+	r.Counter(trk, "x", 1)
+	r.FrameOrigin(Send)
+	for s := SendBDFetched; s < NumSendStages; s++ {
+		clk.at += sim.Microsecond
+		r.FrameStage(Send, s, 0)
+	}
+	if total, dropped := r.EventsRecorded(); total != 0 || dropped != 0 {
+		t.Errorf("EventsRecorded() = %d, %d without a trace, want 0, 0", total, dropped)
+	}
+	if rep := r.LatencyReport(); rep == nil || rep.Send.Frames != 1 || rep.Send.MaxUs != 7 {
+		t.Errorf("latency without a trace: %+v, want one 7 µs send frame", rep)
+	}
+
+	r.KeepTrace(Config{Events: 8, FrameSample: 2})
+	if !r.Tracing() || len(r.ring) != 8 {
+		t.Fatal("KeepTrace did not add an 8-event ring")
+	}
+	r.Instant(trk, "x")
+	r.FrameStage(Send, SendBDFetched, 1) // not sampled
+	r.FrameStage(Send, SendBDFetched, 2)
+	if total, _ := r.EventsRecorded(); total != 2 {
+		t.Errorf("EventsRecorded() = %d after KeepTrace, want 2", total)
+	}
+	r.KeepTrace(Config{Events: 64})
+	if len(r.ring) != 8 {
+		t.Error("a second KeepTrace replaced the ring")
+	}
+}

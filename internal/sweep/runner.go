@@ -47,9 +47,9 @@ type Runner struct {
 	// hits included). Calls are serialized.
 	OnResult func(Result)
 
-	mu    sync.Mutex
-	memo  map[string]Result //nic:guardedby mu — in-process cache of successes, by hash
-	stats RunnerStats       //nic:guardedby mu
+	mu    sync.Mutex        // guards memo and stats
+	memo  map[string]Result // in-process cache of successes, by hash
+	stats RunnerStats
 }
 
 // Stats returns a snapshot of the runner's counters. Updates are

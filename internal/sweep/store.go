@@ -18,9 +18,9 @@ import (
 // than fatal wherever it appears; on duplicate hashes the first valid line
 // wins, matching Put's append-once semantics.
 type Store struct {
-	mu     sync.Mutex
-	f      *os.File          //nic:guardedby mu — nilled by Close
-	byHash map[string]Result //nic:guardedby mu
+	mu     sync.Mutex // guards f and byHash
+	f      *os.File   // nilled by Close
+	byHash map[string]Result
 }
 
 // StoreFileName is the result file created inside a sweep output directory.
@@ -47,7 +47,7 @@ func OpenStore(path string) (*Store, error) {
 			if err := json.Unmarshal(line, &r); err != nil || r.Hash == "" {
 				continue // torn or foreign line
 			}
-			if _, dup := s.byHash[r.Hash]; r.OK() && !dup { //nic:unguarded constructor: s not yet shared
+			if _, dup := s.byHash[r.Hash]; r.OK() && !dup {
 				s.byHash[r.Hash] = r
 			}
 		}
@@ -56,7 +56,7 @@ func OpenStore(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open store: %w", err)
 	}
-	s.f = f //nic:unguarded constructor: s not yet shared
+	s.f = f
 	return s, nil
 }
 
