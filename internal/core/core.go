@@ -151,6 +151,11 @@ type NIC struct {
 	checker *invariantChecker
 	cpuD    *sim.Domain // the CPU clock domain; its first tickers are the cores
 
+	// The injector's per-cycle hooks, bound once by AttachFaults and
+	// installed only while their fault windows are open.
+	gates     []func(cycle uint64) bool
+	bankStall func(resource int) bool
+
 	// obs, when non-nil, is the frame-lifecycle recorder (EnableObs).
 	obs           *obs.Recorder
 	obsFaultTrack int32

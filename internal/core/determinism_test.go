@@ -109,19 +109,19 @@ func TestReportJSONSchedulerPathsAgree(t *testing.T) {
 
 // TestSleepingDomainsStepCount guards the engine's step rate at the paper's
 // six-core 166 MHz RMW point. Ticking every edge of the four clocks takes
-// about 923 steps per simulated µs; with the SDRAM and both MAC wires asleep
-// through bursts, frames and idle stretches it takes about 310. A lost wake
-// would stall the run or break the digests elsewhere; a ticker without
-// Sleeper in the sdram or mac domain keeps that domain awake and trips this
-// bound. The count is deterministic.
+// about 923 steps per simulated µs; with the SDRAM, both MAC wires and the
+// host asleep through bursts, frames, idle stretches and full send rings it
+// takes 176. A lost wake would stall the run or break the digests elsewhere;
+// a ticker without Sleeper in the sdram, mac or host domain keeps that domain
+// awake and trips this bound. The count is deterministic.
 func TestSleepingDomainsStepCount(t *testing.T) {
 	n := New(RMWConfig())
 	n.AttachWorkload(1472, false)
 	n.Run(800*sim.Microsecond, 2*sim.Millisecond)
 	perUs := float64(n.Engine.Steps()) / (float64(n.Engine.Now()) / float64(sim.Microsecond))
 	t.Logf("%.1f engine steps per simulated µs", perUs)
-	if perUs > 350 {
-		t.Errorf("%.1f engine steps per simulated µs, want <= 350", perUs)
+	if perUs > 200 {
+		t.Errorf("%.1f engine steps per simulated µs, want <= 200", perUs)
 	}
 }
 
@@ -143,6 +143,26 @@ func TestSleepingCoresTickCount(t *testing.T) {
 	t.Logf("%.1f executed core ticks per simulated µs", perUs)
 	if perUs > 450 {
 		t.Errorf("%.1f executed core ticks per simulated µs, want <= 450", perUs)
+	}
+}
+
+// TestFaultedCoresTickCount guards the cores' executed-tick rate at the
+// hostile-rss point under the reference fault plan, whose core, bank and
+// ring windows close within 190 µs of the 2.8 ms run. Hooks installed for
+// the whole run kept every core awake, at 1,200 ticks per simulated µs;
+// scoped to their windows they cost about 318. The count is deterministic.
+func TestFaultedCoresTickCount(t *testing.T) {
+	const warmup = 800 * sim.Microsecond
+	n := hostileRSS(t, warmup)
+	n.Run(warmup, 2*sim.Millisecond)
+	var ticks uint64
+	for i := range n.Cores {
+		ticks += n.cpuD.TickerTicks(i)
+	}
+	perUs := float64(ticks) / (float64(n.Engine.Now()) / float64(sim.Microsecond))
+	t.Logf("%.1f executed core ticks per simulated µs", perUs)
+	if perUs > 400 {
+		t.Errorf("%.1f executed core ticks per simulated µs, want <= 400", perUs)
 	}
 }
 

@@ -44,6 +44,25 @@ func (t faultTarget) RecoveryScan()           { t.n.FW.RecoveryScan() }
 func (t faultTarget) SabotageLeak(send bool)  { t.n.FW.SabotageLeak(send) }
 func (t faultTarget) SabotageSwap(send bool)  { t.n.FW.SabotageSwap(send) }
 
+// GateCore installs the core's pre-bound gate for its fault window and
+// removes it when the window closes, so no window edge allocates.
+func (t faultTarget) GateCore(core int, on bool) {
+	var g func(uint64) bool
+	if on {
+		g = t.n.gates[core]
+	}
+	t.n.Cores[core].SetGate(g)
+}
+
+// StallBanks installs the pre-bound bank-stall hook while a bank is down.
+func (t faultTarget) StallBanks(on bool) {
+	var f func(int) bool
+	if on {
+		f = t.n.bankStall
+	}
+	t.n.Xbar.SetBankStall(f)
+}
+
 func (t faultTarget) TryTakeover(core int) bool {
 	s, ok := t.n.Cores[core].Preempt()
 	if !ok {
@@ -55,7 +74,10 @@ func (t faultTarget) TryTakeover(core int) bool {
 
 // AttachFaults arms a fault plan on the NIC: it validates the plan against
 // the configuration, adds the fault event domain to the engine, arms firmware
-// completion-timeout recovery, and installs every hardware injection hook.
+// completion-timeout recovery, and installs the per-frame and per-completion
+// injection hooks. The per-cycle hooks, a core's gate and the crossbar's
+// bank stall, are bound here but installed only while their windows are
+// open, so cores and crossbar sleep as in a fault-free run outside them.
 // An empty plan is a no-op — no hooks are installed and the run is
 // byte-identical to one with no plan at all. Call after New, before Run.
 func (n *NIC) AttachFaults(plan faults.Plan) error {
@@ -76,9 +98,10 @@ func (n *NIC) AttachFaults(plan faults.Plan) error {
 	n.As.MACRx.FaultVerdict = func(int) int { return n.inj.RxVerdict() }
 	n.As.DMARead.SetCompletionFault(n.inj.DMAVerdict)
 	n.As.DMAWrite.SetCompletionFault(n.inj.DMAVerdict)
-	n.Xbar.BankStall = n.inj.BankStalled
-	for i, c := range n.Cores {
-		c.Gate = n.inj.GateFor(i)
+	n.bankStall = n.inj.BankStalled
+	n.gates = make([]func(uint64) bool, len(n.Cores))
+	for i := range n.gates {
+		n.gates[i] = n.inj.GateFor(i)
 	}
 	n.inj.Arm(dom, faultTarget{n})
 	n.bindFaultTrace()

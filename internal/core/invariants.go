@@ -19,7 +19,8 @@ import "fmt"
 // The checks read functional state only; they perturb no timing, so a
 // fault-free run's report stays byte-identical with the checker on.
 type invariantChecker struct {
-	n *NIC
+	n    *NIC
+	next uint64 // the first host cycle not yet ticked or skipped
 
 	lastSig    [8]uint64
 	stalled    bool
@@ -41,11 +42,23 @@ func newInvariantChecker(n *NIC) *invariantChecker {
 
 // Tick implements sim.Ticker in the host domain.
 func (c *invariantChecker) Tick(cycle uint64) {
+	c.next = cycle + 1
 	if cycle&checkMask != 0 {
 		return
 	}
 	c.check(true)
 }
+
+// Sleep implements sim.Sleeper: the checker counts down to its next check,
+// at the next multiple of 2^14 host cycles.
+func (c *invariantChecker) Sleep() uint64 { return -c.next & checkMask }
+
+// Skip implements sim.Sleeper.
+func (c *invariantChecker) Skip(n uint64) { c.next += n }
+
+// SetWake implements sim.Sleeper. Nothing outside the checker changes when
+// it checks, so it never needs waking.
+func (c *invariantChecker) SetWake(func()) {}
 
 // violate records one violation; identical messages are recorded once in the
 // detail list but each occurrence counts.

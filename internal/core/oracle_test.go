@@ -15,31 +15,59 @@ import (
 // report JSON: both paper points with and without the reference fault plan,
 // the software-only point at minimum frames, the hostile-rss point (mixed
 // bursty traffic on 4 flow-steered queues, reference faults, latency
-// observation) and an 8-queue RSS point.
+// observation) and an 8-queue RSS point. The fault points open and close the
+// window-scoped hooks around sleeping cores and crossbar: overlapping slow
+// and stuck windows on one core with overlapping bank errors, a core stuck
+// for good, and short bank errors; the starvation point and the small rings
+// make the sleeping host's entry points matter (starvation, lost doorbells,
+// freed send slots, consumed receive buffers). The synchronized-burst point
+// keeps the host polling its gated sender. Every point observes latency, so
+// the reports carry the per-stage timings too.
 func TestSleepMatchesEveryEdge(t *testing.T) {
 	const (
 		warmup  = 100 * sim.Microsecond
 		measure = 300 * sim.Microsecond
 	)
+	plan := func(s string) faults.Plan {
+		p, err := faults.ParsePlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ref := faults.Reference(warmup)
+	overlap := plan("seed=2;core_slow@150us+40us:2x3,core_stuck@170us+40us:2,bank_error@150us+30us:1,bank_error@160us+40us:3")
+	stuck := plan("seed=3;core_stuck@150us:3")
+	starve := plan("seed=4;mailbox_loss@120us*5,ring_starve@150us+20us,mailbox_loss@165us*3,ring_starve@250us+5us")
+	banks := plan("seed=5;bank_error@150us+1us:0,bank_error@163us+1us:1,bank_error@177us+1us:2,bank_error@191us+1us:3,bank_error@205us+2us:0,bank_error@219us+1us:1,bank_error@233us+1us:2,bank_error@247us+3us:3")
 	sw8 := DefaultConfig()
 	sw8.Cores, sw8.CPUMHz = 8, 175
 	rss4 := DefaultConfig()
 	rss4.RxQueues, rss4.Steering = 4, "flow"
 	rss8 := DefaultConfig()
 	rss8.RxQueues, rss8.Steering = 8, "rr"
+	small := rss4
+	small.Host.SendRing, small.Host.RecvRing = 16, 16
+	light := DefaultConfig()
+	light.Host.SendRing, light.Host.RecvRing = 8, 8
 	for _, pt := range []struct {
 		name    string
 		cfg     Config
 		udp     int
 		traffic string
-		faults  bool
+		faults  faults.Plan
 	}{
-		{"6x166-rmw", RMWConfig(), 1472, "", false},
-		{"6x166-rmw-faults", RMWConfig(), 1472, "", true},
-		{"8x175-sw-faults", sw8, 1472, "", true},
-		{"8x175-sw-18B", sw8, 18, "", false},
-		{"hostile-rss", rss4, 1472, "mixed,burst,flows=64,seed=1", true},
-		{"rss-q8", rss8, 1472, "mcast,burst,flows=64,seed=1", false},
+		{"6x166-rmw", RMWConfig(), 1472, "", faults.Plan{}},
+		{"6x166-rmw-faults", RMWConfig(), 1472, "", ref},
+		{"8x175-sw-faults", sw8, 1472, "", ref},
+		{"8x175-sw-18B", sw8, 18, "", faults.Plan{}},
+		{"hostile-rss", rss4, 1472, "mixed,burst,flows=64,seed=1", ref},
+		{"rss-q8", rss8, 1472, "mcast,burst,flows=64,seed=1", faults.Plan{}},
+		{"overlapping-windows", RMWConfig(), 1472, "", overlap},
+		{"stuck-for-good", DefaultConfig(), 1472, "", stuck},
+		{"starve-and-lost-doorbells", small, 1472, "", starve},
+		{"bank-errors-pareto", light, 1472, "uniform,pareto,seed=3", banks},
+		{"sync-arrivals", DefaultConfig(), 1472, "uniform,sync,seed=1", faults.Plan{}},
 	} {
 		t.Run(pt.name, func(t *testing.T) {
 			run := func() ([]byte, uint64) {
@@ -54,12 +82,10 @@ func TestSleepMatchesEveryEdge(t *testing.T) {
 					if err := n.AttachTraffic(pt.udp, ts, false); err != nil {
 						t.Fatal(err)
 					}
-					n.EnableObs(obs.Config{})
 				}
-				if pt.faults {
-					if err := n.AttachFaults(faults.Reference(warmup)); err != nil {
-						t.Fatal(err)
-					}
+				n.EnableObs(obs.Config{})
+				if err := n.AttachFaults(pt.faults); err != nil {
+					t.Fatal(err)
 				}
 				b, err := n.Run(warmup, measure).JSON()
 				if err != nil {

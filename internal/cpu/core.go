@@ -162,10 +162,7 @@ type Core struct {
 	// preempted, so the supplier may recycle that stream on the call (see
 	// Stream); a wrapper must not hold on to the streams it passes through.
 	NextWork func() *Stream
-	// Gate, when non-nil, is consulted every cycle; false vetoes execution
-	// (fault injection: stuck cores execute nothing, slowed cores only on a
-	// subset of cycles). Vetoed cycles count as FaultStalls.
-	Gate func(cycle uint64) bool
+	gate     func(cycle uint64) bool // see SetGate
 
 	// The state a cycle reads, kept together. acct and lockOp cache the
 	// current op's attribution whenever cur or opIdx changes: acct is the
@@ -367,6 +364,22 @@ func (c *Core) woken() {
 	}
 }
 
+// SetGate installs g as the core's execution gate, or removes it (nil): g
+// is consulted every cycle, and false vetoes the cycle (fault injection:
+// stuck cores execute nothing, slowed cores only on a subset of cycles).
+// Vetoed cycles count as FaultStalls. A gated core never sleeps, so fault
+// windows install the gate only while they are open. Installing wakes the
+// core: the wake replays the ticks it slept through, which never consult the
+// gate, and Sleep then answers 0, so every later cycle reaches the gate.
+// Removing needs no wake: a gated core is awake and sleeps again after its
+// next real tick.
+func (c *Core) SetGate(g func(cycle uint64) bool) {
+	c.gate = g
+	if g != nil {
+		c.woken()
+	}
+}
+
 // Busy reports whether the core is executing a stream.
 func (c *Core) Busy() bool { return c.cur != nil }
 
@@ -375,7 +388,7 @@ func (c *Core) Busy() bool { return c.cur != nil }
 //nic:hotpath
 func (c *Core) Tick(cycle uint64) {
 	c.Stats.Cycles++
-	if c.Gate != nil && !c.Gate(cycle) {
+	if c.gate != nil && !c.gate(cycle) {
 		c.Stats.FaultStalls++
 		return
 	}
@@ -665,9 +678,10 @@ func (c *Core) advance() {
 // that resolves it and the plain run that follows. A tick that begins or
 // ends a stream, runs a callback, issues a memory access or fill, or
 // installs a filled line is always real. A gated core and an idle core,
-// which polls NextWork every cycle, never sleep.
+// which polls NextWork every cycle, never sleep; a core is gated only while
+// a fault window holds it (SetGate).
 func (c *Core) Sleep() uint64 {
-	if c.Gate != nil || c.cur == nil {
+	if c.gate != nil || c.cur == nil {
 		return 0
 	}
 	switch c.state {

@@ -74,7 +74,7 @@ func newSleepRig(sleep bool, cores, gated int, alias bool, seed int64) *sleepRig
 		c.OnStreamBegin = func(s *Stream) { r.logf(i, "begin "+s.Name) }
 		c.OnStreamEnd = func(s *Stream) { r.logf(i, "end "+s.Name) }
 		if i == gated {
-			c.Gate = func(cycle uint64) bool { return cycle%5 != 3 }
+			c.SetGate(func(cycle uint64) bool { return cycle%5 != 3 })
 		}
 		add(c)
 	}

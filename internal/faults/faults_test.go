@@ -2,6 +2,7 @@ package faults
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -182,6 +183,8 @@ type fakeTarget struct {
 	refuse   int // refuse this many takeover attempts before accepting
 	scans    int
 	sabotage []string
+	gated    map[int]bool // cores whose gate is installed
+	stall    bool         // bank-stall hook installed
 }
 
 func (f *fakeTarget) SetStarved(v bool)       { f.starved = append(f.starved, v) }
@@ -189,6 +192,24 @@ func (f *fakeTarget) LoseMailboxWrites(n int) { f.mailbox = append(f.mailbox, n)
 func (f *fakeTarget) RecoveryScan()           { f.scans++ }
 func (f *fakeTarget) SabotageLeak(send bool)  { f.sabotage = append(f.sabotage, "leak") }
 func (f *fakeTarget) SabotageSwap(send bool)  { f.sabotage = append(f.sabotage, "swap") }
+func (f *fakeTarget) GateCore(core int, on bool) {
+	if f.gated == nil {
+		f.gated = map[int]bool{}
+	}
+	f.gated[core] = on
+}
+func (f *fakeTarget) StallBanks(on bool) { f.stall = on }
+
+// hooks renders the installed hooks.
+func (f *fakeTarget) hooks() string {
+	s := fmt.Sprintf("stall=%v", f.stall)
+	for c := 0; c < 8; c++ {
+		if f.gated[c] {
+			s += fmt.Sprintf(" gate%d", c)
+		}
+	}
+	return s
+}
 func (f *fakeTarget) TryTakeover(core int) bool {
 	f.takeover = append(f.takeover, core)
 	if f.refuse > 0 {
@@ -214,6 +235,9 @@ func TestInjectorArmSchedule(t *testing.T) {
 	inj.Arm(dom, tgt)
 
 	eng.RunFor(11 * sim.Microsecond)
+	if got := tgt.hooks(); got != "stall=true" {
+		t.Errorf("hooks at 11us = %q, want the bank-stall hook only", got)
+	}
 	if !inj.BankStalled(1) {
 		t.Error("bank 1 not stalled inside its error window")
 	}
@@ -221,6 +245,9 @@ func TestInjectorArmSchedule(t *testing.T) {
 		t.Error("bank 0 stalled outside any window")
 	}
 	eng.RunFor(5 * sim.Microsecond) // now 16us: bank window over, core 2 slowed
+	if got := tgt.hooks(); got != "stall=false gate2" {
+		t.Errorf("hooks at 16us = %q, want core 2's gate only", got)
+	}
 	if inj.BankStalled(1) {
 		t.Error("bank 1 still stalled after its window")
 	}
@@ -254,5 +281,40 @@ func TestInjectorArmSchedule(t *testing.T) {
 	}
 	if g := inj.GateFor(0); g(123) {
 		t.Error("stuck core 0 gate should veto every cycle (no duration => stuck until takeover)")
+	}
+	// The stuck core without a duration stays gated.
+	if got := tgt.hooks(); got != "stall=false gate0" {
+		t.Errorf("hooks at 50us = %q, want core 0's gate only", got)
+	}
+}
+
+// TestInjectorHookWindows checks that overlapping windows keep their hook
+// installed until the last of them closes: a core both slowed and stuck
+// stays gated until neither holds, and the bank-stall hook stays on while
+// any bank is down.
+func TestInjectorHookWindows(t *testing.T) {
+	plan, err := ParsePlan("seed=1;core_slow@10us+10us:1x2,core_stuck@15us+10us:1,bank_error@10us+10us:0,bank_error@15us+10us:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(plan, 2, 4)
+	tgt := &fakeTarget{}
+	dom := sim.NewEventDomain("faults")
+	eng := sim.NewEngine(sim.NewDomain("clk", 100e6))
+	eng.AddDomain(dom)
+	inj.Arm(dom, tgt)
+	for _, step := range []struct {
+		until sim.Picoseconds
+		want  string
+	}{
+		{9 * sim.Microsecond, "stall=false"},
+		{11 * sim.Microsecond, "stall=true gate1"},
+		{22 * sim.Microsecond, "stall=true gate1"},
+		{26 * sim.Microsecond, "stall=false"},
+	} {
+		eng.RunFor(step.until - eng.Now())
+		if got := tgt.hooks(); got != step.want {
+			t.Errorf("at %v ps: hooks = %q, want %q", eng.Now(), got, step.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -31,6 +32,15 @@ type Target interface {
 	// checker validation); send selects the direction.
 	SabotageLeak(send bool)
 	SabotageSwap(send bool)
+	// GateCore installs (true) or removes (false) the core's execution gate
+	// (GateFor). The injector calls it at every edge of a core's slow and
+	// stuck windows, with on while the core is slowed or stuck, so a core
+	// pays nothing outside its windows; a call may repeat the current state.
+	GateCore(core int, on bool)
+	// StallBanks installs (true) or removes (false) the crossbar's bank-stall
+	// hook (BankStalled) at every edge of a bank-error window: on while any
+	// bank is down.
+	StallBanks(on bool)
 }
 
 // scanInterval paces the firmware recovery pump; takeoverDetect is the
@@ -130,8 +140,8 @@ func (in *Injector) Arm(dom *sim.Domain, tgt Target) {
 		case DMADup:
 			dom.Schedule(e.At, func() { in.dmaDupLeft += count; in.note("dma_dup") })
 		case BankError:
-			dom.Schedule(e.At, func() { in.bankDown[e.Target] = true; in.note("bank_error") })
-			dom.Schedule(e.At+e.Dur, func() { in.bankDown[e.Target] = false })
+			dom.Schedule(e.At, func() { in.setBank(e.Target, true); in.note("bank_error") })
+			dom.Schedule(e.At+e.Dur, func() { in.setBank(e.Target, false) })
 		case CoreSlow:
 			factor := uint64(e.Factor)
 			if factor == 0 {
@@ -139,19 +149,21 @@ func (in *Injector) Arm(dom *sim.Domain, tgt Target) {
 			}
 			dom.Schedule(e.At, func() {
 				in.slowEvery[e.Target] = factor
+				in.gate(e.Target)
 				in.Counters.CoreSlow++
 				in.note("core_slow")
 			})
-			dom.Schedule(e.At+e.Dur, func() { in.slowEvery[e.Target] = 0 })
+			dom.Schedule(e.At+e.Dur, func() { in.slowEvery[e.Target] = 0; in.gate(e.Target) })
 		case CoreStuck:
 			dom.Schedule(e.At, func() {
 				in.stuck[e.Target] = true
+				in.gate(e.Target)
 				in.Counters.CoreStuck++
 				in.note("core_stuck")
 			})
 			in.scheduleTakeover(e.Target, e.At+takeoverDetect, 0)
 			if e.Dur != 0 {
-				dom.Schedule(e.At+e.Dur, func() { in.stuck[e.Target] = false })
+				dom.Schedule(e.At+e.Dur, func() { in.stuck[e.Target] = false; in.gate(e.Target) })
 			}
 		case RingStarve:
 			dom.Schedule(e.At, func() {
@@ -190,6 +202,19 @@ func (in *Injector) Arm(dom *sim.Domain, tgt Target) {
 		}
 	}
 	dom.Schedule(scanInterval, pump(scanInterval))
+}
+
+// gate installs or removes core id's gate as its window state now needs:
+// on while the core is stuck or slowed.
+func (in *Injector) gate(id int) {
+	in.tgt.GateCore(id, in.stuck[id] || in.slowEvery[id] > 1)
+}
+
+// setBank marks bank b down or up, with the bank-stall hook installed while
+// any bank is down.
+func (in *Injector) setBank(b int, down bool) {
+	in.bankDown[b] = down
+	in.tgt.StallBanks(slices.Contains(in.bankDown, true))
 }
 
 // scheduleTakeover attempts a stuck-core takeover, retrying while the core
@@ -260,6 +285,7 @@ func (in *Injector) DMAVerdict() (drop, dup bool) {
 
 // BankStalled reports whether the resource (scratchpad bank) is in an error
 // window this cycle; stalled grant slots accumulate in Counters.BankStall.
+// The target installs it only while some bank is down (Target.StallBanks).
 func (in *Injector) BankStalled(resource int) bool {
 	if resource < len(in.bankDown) && in.bankDown[resource] {
 		in.Counters.BankStall++
@@ -269,7 +295,8 @@ func (in *Injector) BankStalled(resource int) bool {
 }
 
 // GateFor returns the execution gate for one core: false vetoes the cycle
-// (stuck, or the off-cycles of a slowed core).
+// (stuck, or the off-cycles of a slowed core). The target installs it only
+// while the core is stuck or slowed (Target.GateCore).
 func (in *Injector) GateFor(id int) func(cycle uint64) bool {
 	return func(cycle uint64) bool {
 		if in.stuck[id] {

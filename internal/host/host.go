@@ -144,10 +144,14 @@ func (c Config) Validate() error {
 }
 
 // Host is the host processor, memory, and driver model. It implements the
-// assists' Host interface (Delay). Register Tick in the host clock domain.
+// assists' Host interface (Delay). Register it in the host clock domain, where
+// it is a sim.Sleeper: it sleeps while the driver has nothing to post or
+// announce and no DMA completion is due.
 type Host struct {
 	cfg Config
 
+	// Source is the transmit workload; set it before the run, since a
+	// sleeping host does not look for a new one.
 	Source SendSource
 	// Free, when non-nil, takes back every frame DeliverFrame has handled.
 	Free *FrameList
@@ -157,6 +161,7 @@ type Host struct {
 	// not rescanned — each tick.
 	now     uint64
 	pending fifo.Queue[delayed]
+	wake    func() // the clock domain's wake function (sim.Sleeper)
 
 	// Send side.
 	sendBDs       fifo.Queue[SendBD] // posted, not yet taken by the NIC
@@ -246,7 +251,13 @@ func New(cfg Config) *Host {
 // SetStarved halts (true) or resumes (false) the driver, modeling descriptor
 // ring starvation: no new send postings and no receive replenishment while
 // starved. DMA completions still fire.
-func (h *Host) SetStarved(v bool) { h.starved = v }
+func (h *Host) SetStarved(v bool) {
+	h.woken() // Skip counts starved ticks: replay them under the old state
+	h.starved = v
+	if !v {
+		h.woken() // the resumed driver may have work the countdown skips
+	}
+}
 
 // LoseMailboxWrites arms n doorbell losses: the next n mailbox writes are
 // dropped on the floor and the NIC does not see the descriptors they would
@@ -267,8 +278,13 @@ func (h *Host) mailboxWrite() bool {
 // Delay hands tag back to to after the DMA round-trip latency. It
 // implements the assists' Host interface.
 //
+// The wake replays the ticks the host slept through, so now is current. One
+// wake is enough: the new completion is due no earlier than the queue's
+// head, which any countdown already stops at.
+//
 //nic:hotpath
 func (h *Host) Delay(to sim.Completer, tag uint32) {
+	h.woken()
 	h.pending.Push(delayed{at: h.now + uint64(h.cfg.DMALatencyCycles), to: to, tag: tag})
 }
 
@@ -285,6 +301,62 @@ func (h *Host) Tick(cycle uint64) {
 	}
 	h.driver()
 }
+
+// woken calls the wake function, if the host has one.
+func (h *Host) woken() {
+	if h.wake != nil {
+		h.wake()
+	}
+}
+
+// Sleep implements sim.Sleeper. The next tick has work when the driver can
+// post (ring space and a Source), must re-ring a lost send doorbell, or has a
+// receive queue to replenish or announce, none of which it does while
+// starved; or when the pending head is due. Otherwise the host counts down to
+// the tick before the head is due, or sleeps until woken when nothing is
+// pending.
+func (h *Host) Sleep() uint64 {
+	if !h.starved && h.driverWork() {
+		return 0
+	}
+	if h.pending.Len() == 0 {
+		return sim.UntilWoken
+	}
+	at := h.pending.Ref(0).at
+	if at <= h.now+1 {
+		return 0
+	}
+	return at - h.now - 1
+}
+
+// driverWork reports whether an unstarved driver tick would post or ring a
+// doorbell.
+func (h *Host) driverWork() bool {
+	if h.Source != nil && h.inFlight < h.cfg.SendRing || h.sendVisible < h.sendBDs.Len() {
+		return true
+	}
+	for i := range h.recv {
+		if q := &h.recv[i]; q.posted < h.cfg.RecvRing || q.visible < q.posted {
+			return true
+		}
+	}
+	return false
+}
+
+// Skip implements sim.Sleeper: the skipped ticks only advance the clock and,
+// while starved, count starved ticks. It reads nothing else, so an entry
+// point that changes only ring or queue state (CompleteSend, DeliverFrame)
+// wakes the host once, after the change, while one that stamps now (Delay)
+// or changes starved (SetStarved) wakes it first.
+func (h *Host) Skip(n uint64) {
+	h.now += n
+	if h.starved {
+		h.StarvedTicks.Add(n)
+	}
+}
+
+// SetWake implements sim.Sleeper.
+func (h *Host) SetWake(wake func()) { h.wake = wake }
 
 // driver posts send descriptors while ring space allows and replenishes the
 // receive pool, writing the mailbox for each batch.
@@ -384,6 +456,7 @@ func (h *Host) CompleteSend(n int) {
 		panic("host: send completions exceed postings")
 	}
 	h.SendCompleted.Add(uint64(n))
+	h.woken() // the freed ring space is driver work (see Skip)
 }
 
 // DeliverFrame hands one received frame to the host on receive queue queue,
@@ -426,6 +499,7 @@ func (h *Host) DeliverFrame(f *Frame, queue int) {
 		}
 	}
 	h.Free.Put(f)
+	h.woken() // the consumed buffer is driver work (see Skip)
 }
 
 // validateFrame checks the Ethernet FCS, the UDP checksum, and the embedded

@@ -12,16 +12,16 @@ import (
 func FuzzParseDirective(f *testing.F) {
 	seeds := []string{
 		"//nic:hotpath",
-		"// nic:unit ps",
+		"// nic:alloc spaced",
 		"//nic:hashstable deadbeefcafe — trailing prose after the signature",
 		"//nic:hashstable deadbeefcafe",
-		"//nic:unit ns",
+		"//nic:exhaustive",
 		"//nic:nonexhaustive — trailing prose after a bare directive",
 		"// not a directive",
 		"//nic:",
 		"//nic: spaced",
 		"//nic:exhaustive\textra",
-		"//nic:unit  double  spaces ",
+		"//nic:hashstable  double  spaces ",
 		"/* nic:hotpath */",
 		"//nic:bad!name args",
 		"//nic:-leading-dash",

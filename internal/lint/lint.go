@@ -1,6 +1,6 @@
 // Package lint is a suite of static analyzers ("niclint") enforcing the
-// repository's determinism, hot-path allocation, unit-safety, and
-// enum-exhaustiveness contracts — the invariants behind byte-identical gated
+// repository's determinism, hot-path allocation, enum-exhaustiveness and
+// hash-stability contracts — the invariants behind byte-identical gated
 // reports and zero-alloc observability that golden-file tests only catch
 // after a regression lands.
 //
@@ -17,8 +17,6 @@
 //   - hotpath: functions annotated //nic:hotpath must not contain
 //     allocating constructs (append, fmt calls, closures, map/slice
 //     literals, make, new, interface boxing).
-//   - unitlint: forbids direct conversions between differently-dimensioned
-//     unit types (//nic:unit) and multiplication of two unit quantities.
 //   - exhaustive: switches over enum types annotated //nic:exhaustive must
 //     cover every declared constant.
 //   - hashlint: structs feeding committed spec/report hashes carry
@@ -29,7 +27,6 @@
 // # Annotation vocabulary
 //
 //   - //nic:hotpath       (func doc) function is per-tick hot-path code
-//   - //nic:unit <dim>    (type doc) named type carries a physical dimension
 //   - //nic:exhaustive    (type doc) switches over this enum must be total
 //   - //nic:deterministic (package doc) opt a package into detlint by
 //     directive rather than by import path
@@ -39,8 +36,6 @@
 //     (amortized ring growth, cold panic formatting)
 //   - //nic:unordered     (line) map iteration order provably cannot reach
 //     any ordered output
-//   - //nic:unitconv      (line) sanctioned cross-unit conversion (a rate
-//     helper applying an explicit period or scale)
 //   - //nic:nonexhaustive (line) switch intentionally handles a subset
 //   - //nic:hashstable <sig> (type doc) struct feeds committed hashes; sig
 //     pins the always-encoding field surface (hashlint prints it when empty)
@@ -68,7 +63,7 @@ type Analyzer struct {
 
 // All returns the full niclint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Hotpath, Unitlint, Exhaustive, Hashlint}
+	return []*Analyzer{Detlint, Hotpath, Exhaustive, Hashlint}
 }
 
 // A Diagnostic is one finding.

@@ -21,10 +21,6 @@ func TestHotpathFixtures(t *testing.T) {
 	linttest.Run(t, fixtures, lint.Hotpath, "fixture/hotpath")
 }
 
-func TestUnitlintFixtures(t *testing.T) {
-	linttest.Run(t, fixtures, lint.Unitlint, "fixture/unitlint")
-}
-
 func TestExhaustiveFixtures(t *testing.T) {
 	linttest.Run(t, fixtures, lint.Exhaustive, "fixture/exhaustive")
 }

@@ -24,8 +24,6 @@ type Program struct {
 	loading map[string]bool     // cycle detection
 	std     types.ImporterFrom  // GOROOT source importer for std packages
 
-	// units maps a //nic:unit-annotated type name to its dimension string.
-	units map[types.Object]string
 	// exhaustive records //nic:exhaustive-annotated enum type names.
 	exhaustive map[types.Object]bool
 	// hashPins maps a //nic:hashstable-annotated struct type to its pinned
@@ -72,7 +70,6 @@ func NewProgram(dir string) (*Program, error) {
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
 		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		units:      map[types.Object]string{},
 		exhaustive: map[types.Object]bool{},
 		hashPins:   map[types.Object]*hashPin{},
 	}, nil
@@ -340,8 +337,6 @@ func (prog *Program) indexDirectives(pkg *Package) {
 							continue
 						}
 						switch name {
-						case "unit":
-							prog.units[obj] = args
 						case "exhaustive":
 							prog.exhaustive[obj] = true
 						case "hashstable":
@@ -376,16 +371,6 @@ func directivesOf(g *ast.CommentGroup) []string {
 		}
 	}
 	return out
-}
-
-// UnitDim returns the //nic:unit dimension of a type, or "" when the type is
-// not a unit type. Only directly annotated named types carry a dimension.
-func (prog *Program) UnitDim(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return prog.units[named.Obj()]
 }
 
 // IsExhaustiveEnum reports whether the named type is annotated

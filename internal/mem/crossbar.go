@@ -21,8 +21,7 @@ import (
 //
 // Arbitration state is kept as per-resource bitmasks of waiting ports, so a
 // tick costs a handful of word operations per resource instead of a scan of
-// every port for every resource; the crossbar ticks every CPU cycle, which
-// made the scan the simulator's single hottest loop.
+// every port for every resource.
 //
 // Crossbar is a sim.Sleeper; it must be registered in the CPU clock domain
 // *after* every requester so that a request submitted during cycle N can be
@@ -42,11 +41,7 @@ type Crossbar struct {
 	// WaitCycles accumulates arbitration wait per port (conflict stalls).
 	WaitCycles []stats.Counter
 
-	// BankStall, when non-nil, reports that a resource must grant nothing
-	// this cycle (transient bank-error injection). Pending requests simply
-	// keep waiting, accumulating conflict stalls exactly like arbitration
-	// losses; grants already in flight still complete.
-	BankStall func(resource int) bool
+	bankStall func(resource int) bool // see SetBankStall
 }
 
 type xbarPort struct {
@@ -124,11 +119,11 @@ func (x *Crossbar) Submit(port, resource int, write bool, onDone func(waited uin
 }
 
 // Tick completes accesses granted last cycle, then arbitrates new grants,
-// one per resource, round-robin across ports. While a BankStall hook is
+// one per resource, round-robin across ports. While a bank-stall hook is
 // attached it is consulted for every resource every cycle, busy or not, and
 // a stalled resource grants nothing.
 func (x *Crossbar) Tick(cycle uint64) {
-	if x.busy == 0 && x.BankStall == nil {
+	if x.busy == 0 && x.bankStall == nil {
 		return
 	}
 	// Complete accesses that traversed the crossbar last cycle, in resource
@@ -152,9 +147,9 @@ func (x *Crossbar) Tick(cycle uint64) {
 		}
 	}
 	var stalled uint64
-	if x.BankStall != nil {
+	if x.bankStall != nil {
 		for r := 0; r < x.resources; r++ {
-			if x.BankStall(r) {
+			if x.bankStall(r) {
 				stalled |= 1 << uint(r)
 			}
 		}
@@ -197,11 +192,27 @@ func (x *Crossbar) Tick(cycle uint64) {
 	}
 }
 
+// SetBankStall installs f as the bank-stall hook, or removes it (nil). While
+// installed, f is consulted for every resource every cycle, and a resource
+// for which it reports true grants nothing that cycle (transient bank-error
+// injection): pending requests keep waiting, accumulating conflict stalls
+// exactly like arbitration losses, and grants already in flight still
+// complete. Installing wakes the crossbar, which then ticks every cycle;
+// once the hook is removed it sleeps again after its next tick that finds
+// nothing outstanding.
+func (x *Crossbar) SetBankStall(f func(resource int) bool) {
+	x.bankStall = f
+	if f != nil && x.wake != nil {
+		x.wake()
+	}
+}
+
 // Sleep implements sim.Sleeper: a crossbar with nothing outstanding sleeps
-// until Submit wakes it. One with a BankStall hook never sleeps, because the
-// hook is consulted every cycle; attach the hook before the run.
+// until Submit wakes it. One with a bank-stall hook never sleeps, because the
+// hook is consulted every cycle; fault injection installs the hook only
+// while a bank is down (SetBankStall).
 func (x *Crossbar) Sleep() uint64 {
-	if x.busy == 0 && x.BankStall == nil {
+	if x.busy == 0 && x.bankStall == nil {
 		return sim.UntilWoken
 	}
 	return 0

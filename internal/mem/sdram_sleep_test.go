@@ -73,10 +73,17 @@ func TestSDRAMSleepsLikeTickedRun(t *testing.T) {
 // instruction memory as sim.Sleepers and, behind plain TickFuncs, ticked on
 // every edge, under the same requests from a ticker registered before them,
 // as the cores are. Completion instants and waits, grants, per-port wait
-// cycles and the port's utilization must agree. With a BankStall hook the
-// crossbar never sleeps, and the hook must see every resource every cycle.
+// cycles and the port's utilization must agree. With a bank-stall hook the
+// crossbar never sleeps, and the hook must see every resource every cycle:
+// one installed before the run, and one installed and removed in windows
+// mid-run, some opening while the crossbar sleeps idle.
 func TestCrossbarAndInstrMemorySleepLikeTickedRun(t *testing.T) {
-	run := func(sleep, stall bool) (string, uint64) {
+	const (
+		noStall = iota
+		stallAlways
+		stallWindows
+	)
+	run := func(sleep bool, stall int) (string, uint64) {
 		x := NewCrossbar(4, 3)
 		m := NewInstrMemory(2, 32)
 		cpu := sim.NewDomain("cpu", 166e6)
@@ -105,10 +112,26 @@ func TestCrossbarAndInstrMemorySleepLikeTickedRun(t *testing.T) {
 			}
 		}))
 		stalls := 0
-		if stall {
-			x.BankStall = func(r int) bool {
-				stalls++
-				return (stalls*5+r)%13 == 0
+		hook := func(r int) bool {
+			stalls++
+			return (stalls*5+r)%13 == 0
+		}
+		var ev *sim.Domain // the window events, after the CPU domain
+		switch stall {
+		case stallAlways:
+			x.SetBankStall(hook)
+		case stallWindows:
+			// Windows open in idle stretches (requests come in the first
+			// 301 of every 900 cycles) and in bursts, one across both.
+			ev = sim.NewEventDomain("faults")
+			for _, w := range [][2]sim.Picoseconds{
+				{3 * sim.Microsecond, 4 * sim.Microsecond},
+				{5 * sim.Microsecond, 7 * sim.Microsecond},
+				{12*sim.Microsecond + 1, 12*sim.Microsecond + 500*sim.Nanosecond},
+				{25 * sim.Microsecond, 30 * sim.Microsecond},
+			} {
+				ev.Schedule(w[0], func() { x.SetBankStall(hook) })
+				ev.Schedule(w[1], func() { x.SetBankStall(nil) })
 			}
 		}
 		if sleep {
@@ -119,6 +142,9 @@ func TestCrossbarAndInstrMemorySleepLikeTickedRun(t *testing.T) {
 			cpu.Add(sim.TickFunc(m.Tick))
 		}
 		e.AddDomain(cpu)
+		if ev != nil {
+			e.AddDomain(ev)
+		}
 		for _, d := range []sim.Picoseconds{20 * sim.Microsecond, 6023, 1, 6024, 13*sim.Microsecond + 5} {
 			e.RunFor(d)
 			fmt.Fprintf(&log, "| now=%d imem=%d/%d fills=%d stalls=%d grants=", e.Now(),
@@ -133,7 +159,7 @@ func TestCrossbarAndInstrMemorySleepLikeTickedRun(t *testing.T) {
 		}
 		return log.String(), cpu.TickerTicks(1) + cpu.TickerTicks(2)
 	}
-	for _, stall := range []bool{false, true} {
+	for _, stall := range []int{noStall, stallAlways, stallWindows} {
 		slept, sleptTicks := run(true, stall)
 		ticked, tickedTicks := run(false, stall)
 		if slept != ticked {

@@ -34,8 +34,6 @@ import (
 )
 
 // Picoseconds is the unit of simulated time.
-//
-//nic:unit ps
 type Picoseconds uint64
 
 const (
