@@ -19,9 +19,10 @@
 //	nicbench -quick -all -times        # per-job sim-time/wall-time summary
 //	nicbench -all -cpuprofile cpu.prof # CPU profile of the whole run
 //	nicbench -all -memprofile mem.prof # heap profile at exit
-//	nicbench -quick -simspeed-check    # gate vs BENCH_simspeed.json (CI)
-//	nicbench -simspeed-update          # refresh BENCH_simspeed.json
 //	nicbench -json -canonical          # canonical results (byte-comparable)
+//
+// Simulation speed is not measured here: `bash bench/run.sh` (see
+// BENCHMARK.json) judges it with paired runs.
 package main
 
 import (
@@ -70,10 +71,6 @@ func run() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		times      = flag.Bool("times", false, "print a per-job simulated-time/wall-time summary")
 		latency    = flag.Bool("latency", false, "observe frame lifecycles (latency section in reports; incompatible with -check/-update-baseline)")
-
-		ssCheck  = flag.Bool("simspeed-check", false, "measure simulation speed and compare against -simspeed-file; non-zero exit on regression")
-		ssUpdate = flag.Bool("simspeed-update", false, "measure simulation speed and rewrite -simspeed-file")
-		ssFile   = flag.String("simspeed-file", "BENCH_simspeed.json", "committed simulation-speed baseline for -simspeed-check/-simspeed-update")
 
 		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times) for byte-exact comparison across runs")
 	)
@@ -124,10 +121,6 @@ func run() int {
 			return 2
 		}
 		experiments.Observe = true
-	}
-
-	if *ssCheck || *ssUpdate {
-		return runSimSpeed(*ssFile, *ssCheck, *ssUpdate, *quick)
 	}
 
 	b := experiments.Full
@@ -378,49 +371,6 @@ func printTimes(results []sweep.Result) {
 	if wallTot > 0 {
 		fmt.Printf("%-28s %10.0f %10.2f %12.0f\n", "total (simulated jobs)", simTot, wallTot, simTot*1e3/(wallTot*1e3))
 	}
-}
-
-// runSimSpeed measures the simulation-speed operating points and either
-// rewrites the committed baseline (-simspeed-update) or gates against it
-// (-simspeed-check).
-func runSimSpeed(path string, check, update, quick bool) int {
-	b := experiments.Full
-	if quick {
-		b = experiments.Quick
-	}
-	fresh := experiments.MeasureSimSpeed(b)
-	for _, p := range fresh {
-		fmt.Printf("simspeed %-16s %8.0f sim-ns/wall-ms  %7.0f B/sim-us  %7.3f allocs/step  %d steps\n",
-			p.Name, p.SimNsPerWallMs, p.AllocBytesPerSimUs, p.AllocsPerStep, p.Steps)
-	}
-	if update {
-		f := experiments.SimSpeedFile{Schema: experiments.SimSpeedSchema, Tolerance: 0.25, Points: fresh}
-		if old, err := experiments.LoadSimSpeed(path); err == nil {
-			// Keep the informational suite-wall fields across refreshes.
-			f.Tolerance = old.Tolerance
-			f.QuickSuiteWallSec = old.QuickSuiteWallSec
-			f.QuickSuiteWallSecPrev = old.QuickSuiteWallSecPrev
-		}
-		if err := experiments.WriteSimSpeed(path, f); err != nil {
-			fmt.Fprintln(os.Stderr, "nicbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "nicbench: wrote %d simspeed points to %s\n", len(fresh), path)
-		return 0
-	}
-	base, err := experiments.LoadSimSpeed(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nicbench:", err)
-		return 1
-	}
-	if bad := experiments.CompareSimSpeed(base, fresh); len(bad) > 0 {
-		for _, m := range bad {
-			fmt.Fprintln(os.Stderr, "nicbench: SIMSPEED REGRESSION:", m)
-		}
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "nicbench: simulation speed OK (%s)\n", path)
-	return 0
 }
 
 func listSuites(b experiments.Budget, budgetName string) {

@@ -42,7 +42,7 @@ func newRigWired(sleep bool) *rig {
 		sp:    mem.NewScratchpad(256*1024, 4),
 		xbar:  mem.NewCrossbar(4, 4),
 		sdram: mem.NewSDRAM(mem.DefaultSDRAMConfig()),
-		h:     host.New(host.DefaultConfig()),
+		h:     host.New(host.DefaultConfig(), 1),
 	}
 	r.dmaRd = NewDMARead(NewScratchPort(r.sp, r.xbar, 0, 100), r.sdram, 0, r.h, 0x3_0000, 4)
 	r.dmaWr = NewDMAWrite(NewScratchPort(r.sp, r.xbar, 1, 101), r.sdram, 1, r.h, 0x3_0004, 4)

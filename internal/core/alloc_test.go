@@ -8,9 +8,9 @@ import (
 )
 
 // TestSteadyStateAllocations pins the simulator's steady-state allocation
-// rate at zero at both simulation-speed points: the paper's six-core 166 MHz
-// RMW point with 1472-byte datagrams, and eight cores at 175 MHz with
-// software ordering and 18-byte datagrams, where most arriving frames are
+// rate at zero at three points: the paper's six-core 166 MHz RMW point with
+// 1472-byte datagrams, and eight cores at 175 MHz with software ordering
+// and 1472-byte or 18-byte datagrams; at 18 bytes most arriving frames are
 // dropped at the MAC. Completions are typed records, and every per-frame
 // object (frames, the firmware's frame and batch records, op streams, queue
 // rings) is recycled through lists the NIC owns, which grow to the peak in
@@ -21,7 +21,7 @@ import (
 // grow them once more.
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates ~18 ms")
+		t.Skip("simulates ~27 ms")
 	}
 	const (
 		warmup  = 8 * sim.Millisecond
@@ -36,6 +36,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		udp  int
 	}{
 		{"6c-166MHz-rmw-1472B", RMWConfig(), 1472},
+		{"8c-175MHz-sw-1472B", small, 1472},
 		{"8c-175MHz-sw-18B", small, 18},
 	} {
 		t.Run(p.name, func(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 
 // benchPoint runs one full NIC simulation (300 µs warmup + 500 µs measure)
 // at the given operating point and reports simulated nanoseconds per wall
-// second, the headline metric of BENCH_simspeed.json.
+// second. These are in-repo speed probes; the repository benchmark
+// (bench/run.sh) judges speed changes with paired runs, and the step, tick
+// and allocation tests guard the deterministic work they rest on.
 func benchPoint(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	const simulated = 800 * sim.Microsecond

@@ -107,42 +107,76 @@ func TestReportJSONSchedulerPathsAgree(t *testing.T) {
 	}
 }
 
-// TestSleepingDomainsStepCount guards the engine's step rate at the paper's
-// six-core 166 MHz RMW point. Ticking every edge of the four clocks takes
-// about 923 steps per simulated µs; with the SDRAM, both MAC wires and the
-// host asleep through bursts, frames, idle stretches and full send rings it
-// takes 176. A lost wake would stall the run or break the digests elsewhere;
-// a ticker without Sleeper in the sdram, mac or host domain keeps that domain
-// awake and trips this bound. The count is deterministic.
-func TestSleepingDomainsStepCount(t *testing.T) {
-	n := New(RMWConfig())
-	n.AttachWorkload(1472, false)
-	n.Run(800*sim.Microsecond, 2*sim.Millisecond)
-	perUs := float64(n.Engine.Steps()) / (float64(n.Engine.Now()) / float64(sim.Microsecond))
-	t.Logf("%.1f engine steps per simulated µs", perUs)
-	if perUs > 200 {
-		t.Errorf("%.1f engine steps per simulated µs, want <= 200", perUs)
+// countPoint is an operating point of the step and tick guards, with the
+// most engine steps and executed core ticks per simulated µs it may take.
+type countPoint struct {
+	name     string
+	cfg      Config
+	maxSteps float64
+	maxTicks float64
+}
+
+// countPoints are the paper's six-core 166 MHz RMW point and the eight-core
+// 175 MHz software-only grid corner, both at 1472-byte datagrams.
+func countPoints() []countPoint {
+	big := DefaultConfig()
+	big.Cores, big.CPUMHz = 8, 175
+	return []countPoint{
+		{"6c-166MHz-rmw-1472B", RMWConfig(), 200, 300},
+		{"8c-175MHz-sw-1472B", big, 210, 420},
 	}
 }
 
-// TestSleepingCoresTickCount guards the cores' executed-tick rate at the
-// paper's six-core 166 MHz RMW point. Ticking every edge takes 996 core ticks
-// per simulated µs; with the cores asleep through hazard bubbles, plain ALU
-// runs and memory and fill waits it takes about 255. A core that stopped
-// sleeping, or a sleep cut short by a spurious wake, trips this bound. The
-// count is deterministic.
-func TestSleepingCoresTickCount(t *testing.T) {
-	n := New(RMWConfig())
+// runCountPoint runs p for 800 µs of warm-up and 2 ms of measurement and
+// returns the NIC with the elapsed simulated µs.
+func runCountPoint(p countPoint) (*NIC, float64) {
+	n := New(p.cfg)
 	n.AttachWorkload(1472, false)
 	n.Run(800*sim.Microsecond, 2*sim.Millisecond)
-	var ticks uint64
-	for i := range n.Cores {
-		ticks += n.cpuD.TickerTicks(i)
+	return n, float64(n.Engine.Now()) / float64(sim.Microsecond)
+}
+
+// TestSleepingDomainsStepCount guards the engine's step rate. Ticking every
+// edge of the four clocks takes about 923 steps per simulated µs at six
+// 166 MHz cores; with the SDRAM, both MAC wires and the host asleep through
+// bursts, frames, idle stretches and full send rings it takes 176 there and
+// 186 at eight 175 MHz cores. A lost wake would stall the run or break the
+// digests elsewhere; a ticker without Sleeper in the sdram, mac or host
+// domain keeps that domain awake and trips the bound. The count is
+// deterministic.
+func TestSleepingDomainsStepCount(t *testing.T) {
+	for _, p := range countPoints() {
+		t.Run(p.name, func(t *testing.T) {
+			n, us := runCountPoint(p)
+			perUs := float64(n.Engine.Steps()) / us
+			t.Logf("%.1f engine steps per simulated µs", perUs)
+			if perUs > p.maxSteps {
+				t.Errorf("%.1f engine steps per simulated µs, want <= %.0f", perUs, p.maxSteps)
+			}
+		})
 	}
-	perUs := float64(ticks) / (float64(n.Engine.Now()) / float64(sim.Microsecond))
-	t.Logf("%.1f executed core ticks per simulated µs", perUs)
-	if perUs > 450 {
-		t.Errorf("%.1f executed core ticks per simulated µs, want <= 450", perUs)
+}
+
+// TestSleepingCoresTickCount guards the cores' executed-tick rate. Ticking
+// every edge takes 996 core ticks per simulated µs at six 166 MHz cores and
+// 1,400 at eight 175 MHz cores; with the cores asleep through hazard
+// bubbles, plain ALU runs and memory and fill waits they take about 254 and
+// 372. A core that stopped sleeping, or a sleep cut short by a spurious
+// wake, trips the bound. The count is deterministic.
+func TestSleepingCoresTickCount(t *testing.T) {
+	for _, p := range countPoints() {
+		t.Run(p.name, func(t *testing.T) {
+			n, us := runCountPoint(p)
+			var ticks uint64
+			for i := range n.Cores {
+				ticks += n.cpuD.TickerTicks(i)
+			}
+			perUs := float64(ticks) / us
+			t.Logf("%.1f executed core ticks per simulated µs", perUs)
+			if perUs > p.maxTicks {
+				t.Errorf("%.1f executed core ticks per simulated µs, want <= %.0f", perUs, p.maxTicks)
+			}
+		})
 	}
 }
 

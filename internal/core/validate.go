@@ -50,32 +50,23 @@ func (c Config) Validate() error {
 	if c.RxQueues < 0 {
 		return fmt.Errorf("receive queues must be positive, got %d (omit or use 1 for the single-ring build)", c.RxQueues)
 	}
-	if nq := c.rxQueues(); nq > firmware.MaxRxQueues || nq&(nq-1) != 0 {
+	nq := max(c.RxQueues, 1)
+	if nq > firmware.MaxRxQueues || nq&(nq-1) != 0 {
 		return fmt.Errorf("receive queues must be a power of two ≤ %d, got %d (the receive flag region subdivides evenly)", firmware.MaxRxQueues, nq)
 	}
 	// Every frame in a queue's receive pipeline holds a buffer slot and one
 	// of the queue's status flags, and a single flow steers all frames to
 	// one queue, so the flags must cover every slot; likewise the send
 	// flags every frame the host keeps posted.
-	if nq := c.rxQueues(); c.RxSlots > firmware.RecvFlagBits(nq) {
+	if c.RxSlots > firmware.RecvFlagBits(nq) {
 		return fmt.Errorf("%d receive buffer slots exceed the %d status flags of each of %d receive queues (a single flow fills one queue); use at most %d slots or fewer queues",
 			c.RxSlots, firmware.RecvFlagBits(nq), nq, firmware.RecvFlagBits(nq))
 	}
 	if c.Host.SendRing > firmware.FlagBits {
 		return fmt.Errorf("send ring of %d frames exceeds the %d send status flags; use at most %d", c.Host.SendRing, firmware.FlagBits, firmware.FlagBits)
 	}
-	if c.RxQueues > 0 && c.Host.RxQueues > 0 && c.RxQueues != c.Host.RxQueues {
-		return fmt.Errorf("conflicting receive queue counts: RxQueues=%d but Host.RxQueues=%d (set one; the other follows)", c.RxQueues, c.Host.RxQueues)
-	}
 	if _, err := assist.NewSteering(c.Steering); err != nil {
 		return err
 	}
-	// Validate the host config as the controller will build it: with the
-	// effective queue count filled in.
-	h := c.Host
-	h.RxQueues = c.rxQueues()
-	if err := h.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Host.Validate()
 }

@@ -167,7 +167,42 @@ func (p Plan) Validate(cores, banks int) error {
 			return fmt.Errorf("faults: event %d (%s): duration on a non-windowed kind", i, e.Kind)
 		}
 	}
+	return p.checkOverlaps()
+}
+
+// checkOverlaps rejects two windows of one kind on one target (a bank, a
+// core, or the host ring) whose [At, At+Dur) intervals intersect: the
+// injector keeps one window state per target, so the first window to close
+// would end both. Windows that only touch are fine.
+func (p Plan) checkOverlaps() error {
+	for i, a := range p.Events {
+		for j, b := range p.Events[i+1:] {
+			if !windowed(a.Kind) || b.Kind != a.Kind || (a.Kind != RingStarve && b.Target != a.Target) ||
+				a.At >= windowEnd(b) || b.At >= windowEnd(a) {
+				continue
+			}
+			end := windowEnd(a)
+			if b.At < a.At {
+				end = windowEnd(b)
+			}
+			fix := "start the later one at or after " + fmtDur(end)
+			if end == math.MaxUint64 {
+				fix = "give the earlier one a duration"
+			}
+			return fmt.Errorf("faults: events %d and %d (%s, target %d): windows overlap; merge them into one window or %s",
+				i, i+1+j, a.Kind, a.Target, fix)
+		}
+	}
 	return nil
+}
+
+// windowEnd is the end of e's window; a core_stuck without a duration is
+// open to the end of the run.
+func windowEnd(e Event) sim.Picoseconds {
+	if e.Kind == CoreStuck && e.Dur == 0 || e.Dur > math.MaxUint64-e.At {
+		return math.MaxUint64
+	}
+	return e.At + e.Dur
 }
 
 // String renders the plan in the compact syntax ParsePlan accepts.

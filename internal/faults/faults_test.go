@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -85,6 +86,13 @@ func TestPlanValidate(t *testing.T) {
 		{"rx_drop@10us+5us", true},       // duration on a non-windowed kind
 		{"fw_leak@10us:2", true},         // sabotage target must be 0/1
 		{"rx_corrupt@10us*3,dma_loss@20us", false},
+		// Same-kind windows on one target may touch but not overlap.
+		{"bank_error@10us+10us:1,bank_error@15us+10us:1,core_slow@10us+10us:0x2,core_slow@15us+10us:0x3", true},
+		{"core_slow@15us+10us:0x3,core_slow@10us+10us:0x2", true},
+		{"core_stuck@10us:1,core_stuck@1ms+5us:1", true}, // no duration: open to the end
+		{"ring_starve@10us+10us,ring_starve@19us+10us:1", true},
+		{"bank_error@10us+10us:1,bank_error@20us+10us:1,core_stuck@10us+5us:0,core_stuck@15us:0", false},
+		{"bank_error@10us+10us:1,bank_error@15us+10us:2,core_slow@10us+10us:0x2,core_stuck@15us+10us:0", false},
 	} {
 		err := ok(tc.src).Validate(6, 4)
 		if tc.wantErr && err == nil {
@@ -93,6 +101,10 @@ func TestPlanValidate(t *testing.T) {
 		if !tc.wantErr && err != nil {
 			t.Errorf("Validate(%q): %v", tc.src, err)
 		}
+	}
+	err := ok("core_slow@10us+10us:0x2,bank_error@1us+1us,core_slow@15us+10us:0x3").Validate(6, 4)
+	if want := "events 0 and 2 (core_slow, target 0): windows overlap; merge them into one window or start the later one at or after 20us"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("overlap error = %v, want it to say %q", err, want)
 	}
 	// Bounds checks are skipped with -1.
 	if err := ok("core_stuck@10us+5us:63").Validate(-1, -1); err != nil {
@@ -315,6 +327,53 @@ func TestInjectorHookWindows(t *testing.T) {
 		eng.RunFor(step.until - eng.Now())
 		if got := tgt.hooks(); got != step.want {
 			t.Errorf("at %v ps: hooks = %q, want %q", eng.Now(), got, step.want)
+		}
+	}
+}
+
+// TestInjectorTouchingWindows checks that a window may start at the instant
+// an earlier window of the same kind on the same target ends, whichever of
+// the two the plan lists first: the second window holds to its own end.
+func TestInjectorTouchingWindows(t *testing.T) {
+	first := "bank_error@10us+10us:1,core_slow@10us+10us:0x2,core_stuck@10us+10us:1,ring_starve@10us+10us"
+	second := "bank_error@20us+10us:1,core_slow@20us+10us:0x3,core_stuck@20us+10us:1,ring_starve@20us+10us"
+	for _, src := range []string{first + "," + second, second + "," + first} {
+		plan, err := ParsePlan(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Validate(2, 4); err != nil {
+			t.Fatalf("Validate(%q): %v", src, err)
+		}
+		inj := NewInjector(plan, 2, 4)
+		tgt := &fakeTarget{}
+		dom := sim.NewEventDomain("faults")
+		eng := sim.NewEngine(sim.NewDomain("clk", 100e6))
+		eng.AddDomain(dom)
+		inj.Arm(dom, tgt)
+		for _, step := range []struct {
+			until   sim.Picoseconds
+			hooks   string
+			starved bool
+			every   uint64 // core 0 runs one cycle in every
+		}{
+			{15 * sim.Microsecond, "stall=true gate0 gate1", true, 2},
+			{25 * sim.Microsecond, "stall=true gate0 gate1", true, 3},
+			{31 * sim.Microsecond, "stall=false", false, 1},
+		} {
+			eng.RunFor(step.until - eng.Now())
+			if got := tgt.hooks(); got != step.hooks {
+				t.Errorf("%s: at %v ps: hooks = %q, want %q", src, eng.Now(), got, step.hooks)
+			}
+			if got := len(tgt.starved) > 0 && tgt.starved[len(tgt.starved)-1]; got != step.starved {
+				t.Errorf("%s: at %v ps: starved = %v, want %v", src, eng.Now(), got, step.starved)
+			}
+			gate := inj.GateFor(0)
+			for c := uint64(0); c < 6; c++ {
+				if got, want := gate(c), c%step.every == 0; got != want {
+					t.Errorf("%s: at %v ps: core 0's gate(%d) = %v, want %v", src, eng.Now(), c, got, want)
+				}
+			}
 		}
 	}
 }

@@ -87,9 +87,15 @@ type Injector struct {
 	dmaLossLeft, dmaLossSkip     int
 	dmaDupLeft, dmaDupSkip       int
 
-	bankDown  []bool
-	stuck     []bool
+	// Open windows per target. Plan.Validate rejects overlapping windows of
+	// one kind on one target, but a window may open at the instant another
+	// closes, in either plan order; counting them keeps the target on
+	// through that instant.
+	bankDown  []int
+	stuck     []int
+	slowOpen  []int
 	slowEvery []uint64
+	starving  int
 
 	// Trace, when non-nil, observes each plan event as it fires (by name).
 	// The scheduled closures consult it lazily, so it may be bound any time
@@ -111,8 +117,9 @@ func NewInjector(p Plan, cores, banks int) *Injector {
 	return &Injector{
 		plan:      p,
 		rng:       rand.New(rand.NewSource(p.Seed)),
-		bankDown:  make([]bool, banks),
-		stuck:     make([]bool, cores),
+		bankDown:  make([]int, banks),
+		stuck:     make([]int, cores),
+		slowOpen:  make([]int, cores),
 		slowEvery: make([]uint64, cores),
 	}
 }
@@ -140,38 +147,45 @@ func (in *Injector) Arm(dom *sim.Domain, tgt Target) {
 		case DMADup:
 			dom.Schedule(e.At, func() { in.dmaDupLeft += count; in.note("dma_dup") })
 		case BankError:
-			dom.Schedule(e.At, func() { in.setBank(e.Target, true); in.note("bank_error") })
-			dom.Schedule(e.At+e.Dur, func() { in.setBank(e.Target, false) })
+			dom.Schedule(e.At, func() { in.setBank(e.Target, 1); in.note("bank_error") })
+			dom.Schedule(e.At+e.Dur, func() { in.setBank(e.Target, -1) })
 		case CoreSlow:
 			factor := uint64(e.Factor)
 			if factor == 0 {
 				factor = 2
 			}
 			dom.Schedule(e.At, func() {
+				in.slowOpen[e.Target]++
 				in.slowEvery[e.Target] = factor
 				in.gate(e.Target)
 				in.Counters.CoreSlow++
 				in.note("core_slow")
 			})
-			dom.Schedule(e.At+e.Dur, func() { in.slowEvery[e.Target] = 0; in.gate(e.Target) })
+			dom.Schedule(e.At+e.Dur, func() {
+				if in.slowOpen[e.Target]--; in.slowOpen[e.Target] == 0 {
+					in.slowEvery[e.Target] = 0
+				}
+				in.gate(e.Target)
+			})
 		case CoreStuck:
 			dom.Schedule(e.At, func() {
-				in.stuck[e.Target] = true
+				in.stuck[e.Target]++
 				in.gate(e.Target)
 				in.Counters.CoreStuck++
 				in.note("core_stuck")
 			})
 			in.scheduleTakeover(e.Target, e.At+takeoverDetect, 0)
 			if e.Dur != 0 {
-				dom.Schedule(e.At+e.Dur, func() { in.stuck[e.Target] = false; in.gate(e.Target) })
+				dom.Schedule(e.At+e.Dur, func() { in.stuck[e.Target]--; in.gate(e.Target) })
 			}
 		case RingStarve:
 			dom.Schedule(e.At, func() {
+				in.starving++
 				tgt.SetStarved(true)
 				in.Counters.RingStarve++
 				in.note("ring_starve")
 			})
-			dom.Schedule(e.At+e.Dur, func() { tgt.SetStarved(false) })
+			dom.Schedule(e.At+e.Dur, func() { in.starving--; tgt.SetStarved(in.starving > 0) })
 		case MailboxLoss:
 			dom.Schedule(e.At, func() {
 				tgt.LoseMailboxWrites(count)
@@ -207,14 +221,14 @@ func (in *Injector) Arm(dom *sim.Domain, tgt Target) {
 // gate installs or removes core id's gate as its window state now needs:
 // on while the core is stuck or slowed.
 func (in *Injector) gate(id int) {
-	in.tgt.GateCore(id, in.stuck[id] || in.slowEvery[id] > 1)
+	in.tgt.GateCore(id, in.stuck[id] > 0 || in.slowEvery[id] > 1)
 }
 
-// setBank marks bank b down or up, with the bank-stall hook installed while
-// any bank is down.
-func (in *Injector) setBank(b int, down bool) {
-	in.bankDown[b] = down
-	in.tgt.StallBanks(slices.Contains(in.bankDown, true))
+// setBank opens (+1) or closes (-1) an error window on bank b, with the
+// bank-stall hook installed while any bank is down.
+func (in *Injector) setBank(b, delta int) {
+	in.bankDown[b] += delta
+	in.tgt.StallBanks(slices.ContainsFunc(in.bankDown, func(n int) bool { return n > 0 }))
 }
 
 // scheduleTakeover attempts a stuck-core takeover, retrying while the core
@@ -287,7 +301,7 @@ func (in *Injector) DMAVerdict() (drop, dup bool) {
 // window this cycle; stalled grant slots accumulate in Counters.BankStall.
 // The target installs it only while some bank is down (Target.StallBanks).
 func (in *Injector) BankStalled(resource int) bool {
-	if resource < len(in.bankDown) && in.bankDown[resource] {
+	if resource < len(in.bankDown) && in.bankDown[resource] > 0 {
 		in.Counters.BankStall++
 		return true
 	}
@@ -299,7 +313,7 @@ func (in *Injector) BankStalled(resource int) bool {
 // while the core is stuck or slowed (Target.GateCore).
 func (in *Injector) GateFor(id int) func(cycle uint64) bool {
 	return func(cycle uint64) bool {
-		if in.stuck[id] {
+		if in.stuck[id] > 0 {
 			return false
 		}
 		if k := in.slowEvery[id]; k > 1 {

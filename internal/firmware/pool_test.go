@@ -30,7 +30,7 @@ func newRig(nCores int) *rig {
 	xbar := mem.NewCrossbar(nCores+4, banks)
 	sdram := mem.NewSDRAM(mem.DefaultSDRAMConfig())
 	imem := mem.NewInstrMemory(2, 32)
-	hst := host.New(host.DefaultConfig())
+	hst := host.New(host.DefaultConfig(), 1)
 	port := func(i int) *assist.ScratchPort { return assist.NewScratchPort(sp, xbar, nCores+i, nCores+i) }
 	as := Assists{
 		DMARead:  assist.NewDMARead(port(0), sdram, 0, hst, PtrDMARead, 4),

@@ -109,18 +109,13 @@ type Config struct {
 	RecvRing int
 	// PostBatch bounds descriptors posted per driver tick.
 	PostBatch int
-	// RxQueues is how many per-core receive rings the driver provisions
-	// (receive-side scaling). Must be at least 1; the paper's single-ring
-	// host is RxQueues 1. Omitted from serialized configurations at zero so
-	// integration layers can treat zero as "unset, default to one ring".
-	RxQueues int `json:",omitempty"`
 }
 
 // DefaultConfig returns a configuration matched to the paper's environment:
 // a ~1 µs DMA round trip at the 133 MHz host interface clock and rings deep
 // enough to cover it ("several hundred outstanding frames").
 func DefaultConfig() Config {
-	return Config{DMALatencyCycles: 133, SendRing: 512, RecvRing: 512, PostBatch: 64, RxQueues: 1}
+	return Config{DMALatencyCycles: 133, SendRing: 512, RecvRing: 512, PostBatch: 64}
 }
 
 // Validate reports the first configuration error, if any.
@@ -136,9 +131,6 @@ func (c Config) Validate() error {
 	}
 	if c.PostBatch <= 0 {
 		return fmt.Errorf("host: post batch must be positive, got %d", c.PostBatch)
-	}
-	if c.RxQueues <= 0 {
-		return fmt.Errorf("host: receive queues must be positive, got %d (use 1 for the single-ring host)", c.RxQueues)
 	}
 	return nil
 }
@@ -234,18 +226,18 @@ type recvQueue struct {
 	outOfOrd  uint64
 }
 
-// New creates a host model. The configuration must already satisfy Validate;
-// callers building from user input should Validate first and report errors.
-// A zero RxQueues is treated as "unset" and defaults to the single ring, so
-// configurations serialized before RSS existed construct unchanged.
-func New(cfg Config) *Host {
-	if cfg.RxQueues == 0 {
-		cfg.RxQueues = 1
-	}
+// New creates a host model whose driver provisions rxQueues per-core receive
+// rings (receive-side scaling; the paper's single-ring host is 1). The
+// configuration must already satisfy Validate and rxQueues be positive;
+// callers building from user input should validate first and report errors.
+func New(cfg Config, rxQueues int) *Host {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Host{cfg: cfg, recv: make([]recvQueue, cfg.RxQueues)}
+	if rxQueues <= 0 {
+		panic(fmt.Sprintf("host: receive queues must be positive, got %d", rxQueues))
+	}
+	return &Host{cfg: cfg, recv: make([]recvQueue, rxQueues)}
 }
 
 // SetStarved halts (true) or resumes (false) the driver, modeling descriptor

@@ -31,7 +31,7 @@ func (s *gappySource) Next() *Frame {
 // several RunFor calls must agree, and the sleeping host must skip ticks.
 func TestHostSleepsLikeTickedRun(t *testing.T) {
 	run := func(sleep bool) (string, uint64, *Host) {
-		h := New(Config{DMALatencyCycles: 40, SendRing: 8, RecvRing: 6, PostBatch: 3, RxQueues: 2})
+		h := New(Config{DMALatencyCycles: 40, SendRing: 8, RecvRing: 6, PostBatch: 3}, 2)
 		h.Source = &gappySource{}
 		nic := sim.NewDomain("nic", 200e6)
 		hostD := sim.NewDomain("host", 133e6)
@@ -142,7 +142,7 @@ func TestHostSleepsLikeTickedRun(t *testing.T) {
 // posting that fills the send ring: the sleeping host must ring it again on
 // its next tick, though it has nothing new to post or replenish.
 func TestHostRingsAgainAfterLostDoorbellOnFullRing(t *testing.T) {
-	h := New(Config{DMALatencyCycles: 40, SendRing: 2, RecvRing: 4, PostBatch: 4})
+	h := New(Config{DMALatencyCycles: 40, SendRing: 2, RecvRing: 4, PostBatch: 4}, 1)
 	h.Source = &gappySource{}
 	d := sim.NewDomain("host", 133e6)
 	d.Add(h)

@@ -146,7 +146,6 @@ type Domain struct {
 	// and pos the slot ticking; after the pass pos is maxSleepers.
 	slots    []slot
 	needs    []uint64 // one per slot among the first maxSleepers, for the scan
-	sleepers int      // slots with a Sleeper
 	awake    uint64
 	pass     uint64
 	counting uint64
@@ -312,7 +311,6 @@ func (d *Domain) Add(t Ticker) {
 		d.awake |= 1 << uint(i)
 	}
 	if s != nil {
-		d.sleepers++
 		s.SetWake(func() { d.wake(i) })
 	}
 	if d.eng != nil && !d.eventDriven && d.next > d.edge {
@@ -337,17 +335,6 @@ func (d *Domain) tick() {
 		d.edge, d.cycle = d.next, c
 	}
 	slots := d.slots
-	if d.sleepers == 0 {
-		// No ticker can sleep: tick them all, as a plain clock does.
-		for i := range slots {
-			slots[i].ticks++
-			slots[i].t.Tick(c)
-		}
-		d.cycle = c + 1
-		d.edge += d.period
-		d.next = d.edge
-		return
-	}
 	d.pass, d.awake = d.awake, 0
 	if d.soonest <= c {
 		d.due(c)
