@@ -11,8 +11,6 @@
 package assist
 
 import (
-	"fmt"
-
 	"repro/internal/fifo"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -42,7 +40,7 @@ type ScratchPort struct {
 	// The crossbar holds at most one access per port, so the completion
 	// callback is one pre-bound closure over cur — not an allocation per op.
 	cur    spOp
-	onDone func(waited uint64)
+	onDone func()
 	owner  sim.Completer // the owning assist: receives completed accesses' tags
 	wake   func()        // the owning assist's wake function (sim.Sleeper)
 
@@ -71,7 +69,7 @@ func NewScratchPort(sp *mem.Scratchpad, xbar *mem.Crossbar, port, proc int) *Scr
 // outstanding access.
 //
 //nic:hotpath
-func (p *ScratchPort) complete(uint64) {
+func (p *ScratchPort) complete() {
 	op := p.cur
 	p.cur = spOp{}
 	if op.write {
@@ -145,14 +143,16 @@ func phaseTag(slot int, phase uint32) uint32 { return uint32(slot)<<4 | phase }
 // splitTag undoes phaseTag.
 func splitTag(tag uint32) (slot int, phase uint32) { return int(tag >> 4), tag & 0xf }
 
+// dmaDepth bounds a DMA engine's overlapped jobs (the paper's two-frame
+// buffering).
+const dmaDepth = 4
+
 // engine is a common in-order job pipeline with bounded overlap. Started
 // jobs sit in pipeline slots, which their phase tags name, until done.
 type engine struct {
-	name  string
-	depth int
 	queue fifo.Queue[job]
-	slots []job // in-flight jobs
-	free  []int // free slot indices
+	slots [dmaDepth]job // in-flight jobs
+	free  []int         // free slot indices
 	// run starts the first phase of the job in a slot (the owning assist's
 	// chain dispatch).
 	run      func(slot int)
@@ -173,13 +173,10 @@ type engine struct {
 	obsTrack int32
 }
 
-func newEngine(name string, depth int, run func(slot int)) *engine {
-	if depth <= 0 {
-		panic(fmt.Sprintf("assist: %s: non-positive pipeline depth", name))
-	}
-	e := &engine{name: name, depth: depth, run: run, slots: make([]job, depth), free: make([]int, depth)}
+func newEngine(run func(slot int)) *engine {
+	e := &engine{run: run, free: make([]int, dmaDepth)}
 	for i := range e.free {
-		e.free[i] = depth - 1 - i
+		e.free[i] = dmaDepth - 1 - i
 	}
 	return e
 }
@@ -195,13 +192,13 @@ func (e *engine) enqueue(j job) {
 // idle reports whether the engine's next tick would start nothing: every
 // pipeline slot is taken or no job is queued. Only enqueue and a job
 // completion end that.
-func (e *engine) idle() bool { return e.inFlight == e.depth || e.queue.Len() == 0 }
+func (e *engine) idle() bool { return e.inFlight == dmaDepth || e.queue.Len() == 0 }
 
 // tick starts jobs while pipeline slots are free.
 //
 //nic:hotpath
 func (e *engine) tick() {
-	for e.inFlight < e.depth && e.queue.Len() > 0 {
+	for e.inFlight < dmaDepth && e.queue.Len() > 0 {
 		slot := e.free[len(e.free)-1]
 		e.free = e.free[:len(e.free)-1]
 		e.slots[slot] = e.queue.Pop()
@@ -217,7 +214,7 @@ func (e *engine) tick() {
 func (e *engine) done(slot int) {
 	note := e.slots[slot].note
 	e.slots[slot] = job{}
-	e.free = append(e.free, slot) //nic:alloc bounded by depth, preallocated
+	e.free = append(e.free, slot) //nic:alloc bounded by dmaDepth, preallocated
 	e.inFlight--
 	if e.queue.Len() > 0 && e.wake != nil {
 		e.wake()

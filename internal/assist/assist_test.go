@@ -41,11 +41,11 @@ func newRigWired(sleep bool) *rig {
 	r := &rig{
 		sp:    mem.NewScratchpad(256*1024, 4),
 		xbar:  mem.NewCrossbar(4, 4),
-		sdram: mem.NewSDRAM(mem.DefaultSDRAMConfig()),
+		sdram: mem.NewSDRAM(),
 		h:     host.New(host.DefaultConfig(), 1),
 	}
-	r.dmaRd = NewDMARead(NewScratchPort(r.sp, r.xbar, 0, 100), r.sdram, 0, r.h, 0x3_0000, 4)
-	r.dmaWr = NewDMAWrite(NewScratchPort(r.sp, r.xbar, 1, 101), r.sdram, 1, r.h, 0x3_0004, 4)
+	r.dmaRd = NewDMARead(NewScratchPort(r.sp, r.xbar, 0, 100), r.sdram, 0, r.h, 0x3_0000)
+	r.dmaWr = NewDMAWrite(NewScratchPort(r.sp, r.xbar, 1, 101), r.sdram, 1, r.h, 0x3_0004)
 	r.tx = NewMACTx(NewScratchPort(r.sp, r.xbar, 2, 102), r.sdram, 2, 0x3_0008)
 	r.rx = NewMACRx(NewScratchPort(r.sp, r.xbar, 3, 103), r.sdram, 3, 0x3_000c)
 	owner := sim.CompleteFunc(func(tag uint32) { r.actions[tag-1]() })

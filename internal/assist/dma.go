@@ -89,12 +89,11 @@ type DMARead struct {
 	BDWords stats.Counter
 }
 
-// NewDMARead creates the engine. depth bounds overlapped jobs (the paper's
-// two-frame buffering). SetOwner names the receiver of completed jobs'
-// notes.
-func NewDMARead(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, host Host, progressAddr uint32, depth int) *DMARead {
+// NewDMARead creates the engine, which overlaps up to dmaDepth jobs.
+// SetOwner names the receiver of completed jobs' notes.
+func NewDMARead(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, host Host, progressAddr uint32) *DMARead {
 	d := &DMARead{dma: dma{Port: port, sdram: sdram, sdramPort: sdramPort, host: host, ProgressAddr: progressAddr}}
-	d.eng = newEngine("dma-read", depth, d.run)
+	d.eng = newEngine(d.run)
 	port.owner = d
 	return d
 }
@@ -166,9 +165,9 @@ type DMAWrite struct {
 
 // NewDMAWrite creates the engine; SetOwner names the receiver of completed
 // jobs' notes.
-func NewDMAWrite(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, host Host, progressAddr uint32, depth int) *DMAWrite {
+func NewDMAWrite(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, host Host, progressAddr uint32) *DMAWrite {
 	w := &DMAWrite{dma: dma{Port: port, sdram: sdram, sdramPort: sdramPort, host: host, ProgressAddr: progressAddr}}
-	w.eng = newEngine("dma-write", depth, w.run)
+	w.eng = newEngine(w.run)
 	port.owner = w
 	return w
 }

@@ -30,8 +30,8 @@ const (
 // from the SDRAM transmit buffer into a two-frame staging buffer and clocks
 // them onto the wire.
 //
-// Register MACTx itself in the CPU domain (TickCPU pumps the scratchpad
-// port) and TxWire in the MAC domain (wire pacing).
+// Register MACTx itself in the CPU domain (Tick pumps the scratchpad port)
+// and TxWire in the MAC domain (wire pacing).
 type MACTx struct {
 	Port      *ScratchPort
 	sdram     *mem.SDRAM
@@ -82,7 +82,7 @@ func (m *MACTx) Send(bufAddr uint32, size int, handle any) {
 	m.queue.Push(txFrame{bufAddr: bufAddr, size: size, handle: handle})
 }
 
-// canFetch reports whether TickCPU would start an SDRAM fetch. Only Send,
+// canFetch reports whether Tick would start an SDRAM fetch. Only Send,
 // a finished fetch and the wire taking a staged frame make it true.
 func (m *MACTx) canFetch() bool { return !m.fetching && m.queue.Len() > 0 && m.staged.Len() < 2 }
 
@@ -107,10 +107,11 @@ func (m *MACTx) Backlog() int {
 	return n
 }
 
-// TickCPU starts SDRAM fetches (double buffered) and pumps the port.
+// Tick starts SDRAM fetches (double buffered) and pumps the port: the
+// transmit half's CPU-domain side.
 //
 //nic:hotpath
-func (m *MACTx) TickCPU(cycle uint64) {
+func (m *MACTx) Tick(cycle uint64) {
 	if m.canFetch() {
 		m.fetch = m.queue.Pop()
 		m.fetching = true
@@ -135,9 +136,6 @@ func (m *MACTx) Complete(tag uint32) {
 		m.wakeWire()
 	}
 }
-
-// Tick adapts MACTx to sim.Ticker in the CPU domain.
-func (m *MACTx) Tick(cycle uint64) { m.TickCPU(cycle) }
 
 // Sleep implements sim.Sleeper for the CPU side: it sleeps until a fetch or
 // a scratchpad access can start.
@@ -302,11 +300,8 @@ func NewMACRx(port *ScratchPort, sdram *mem.SDRAM, sdramPort int, progressAddr u
 // write (accepted but not yet delivered to firmware); for invariant checks.
 func (m *MACRx) Staged() int { return m.staged.Len() }
 
-// TickCPU pumps the scratchpad port.
-func (m *MACRx) TickCPU(cycle uint64) { m.Port.Tick(cycle) }
-
-// Tick adapts MACRx to sim.Ticker in the CPU domain.
-func (m *MACRx) Tick(cycle uint64) { m.TickCPU(cycle) }
+// Tick pumps the scratchpad port: the receive half's CPU-domain side.
+func (m *MACRx) Tick(cycle uint64) { m.Port.Tick(cycle) }
 
 // Sleep implements sim.Sleeper for the CPU side: it sleeps until a
 // scratchpad access can start.

@@ -96,7 +96,7 @@ func TestWiresSleepLikeTickedRun(t *testing.T) {
 				fmt.Fprintf(&log, "w%d=%d ", p, r.xbar.WaitCycles[p].Value())
 			}
 		}
-		fmt.Fprintf(&log, "| lat=%s mean=%v", r.sdram.Latency, r.sdram.Latency.Mean())
+		fmt.Fprintf(&log, "| sdram=%d/%d act=%d", r.sdram.UsefulBytes.Value(), r.sdram.ConsumedBytes.Value(), r.sdram.Activations.Value())
 		return log.String(), r.eng.Steps()
 	}
 	slept, sleptSteps := run(true)

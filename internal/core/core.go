@@ -23,27 +23,21 @@ import (
 	"repro/internal/workload"
 )
 
-// Config selects one controller build point.
+// Config selects one controller build point: the axes the paper varies
+// (cores, clock, scratchpad banks, frame ordering, firmware organization)
+// plus the RSS, jumbo and cost-model extensions. The rest of the part is
+// fixed (see the constants below, mem.NewSDRAM, host.DefaultConfig and the
+// firmware's slot counts).
 //
-//nic:hashstable 1d28fba4d398
+//nic:hashstable ad685880c447
 type Config struct {
 	Cores  int
 	CPUMHz float64
 
-	ScratchpadBytes int
 	ScratchpadBanks int
-
-	ICacheBytes int
-	ICacheWays  int
-	ICacheLine  int
-
-	SDRAMMHz float64
-	SDRAM    mem.SDRAMConfig
 
 	Ordering    firmware.Ordering
 	Parallelism firmware.Parallelism
-
-	Host host.Config
 
 	// RxQueues selects how many per-core host receive rings the RSS stage
 	// steers into. Zero means "unset": the controller keeps the seed's single
@@ -55,10 +49,6 @@ type Config struct {
 	// selects the static hash. Only meaningful with RxQueues > 1.
 	Steering string `json:",omitempty"`
 
-	TxSlots  int
-	RxSlots  int
-	DMADepth int
-
 	// JumboFrames raises the MAC's maximum accepted frame to the 9000-byte
 	// payload jumbo limit, sizes firmware buffer slots to match, and relaxes
 	// host-side delivery validation to the jumbo MTU. Off by default: the
@@ -69,26 +59,27 @@ type Config struct {
 	Profile *firmware.Profile
 }
 
+// The paper's fixed on-chip geometry: a 256 KB scratchpad, word-interleaved
+// across the configured banks, and a private 8 KB two-way instruction cache
+// per core with 32-byte lines, filled from the shared instruction memory in
+// two access cycles.
+const (
+	scratchpadBytes = 256 * 1024
+	icacheBytes     = 8192
+	icacheWays      = 2
+	icacheLine      = 32
+	imemAccessCy    = 2
+)
+
 // DefaultConfig is the paper's software-only operating point: six cores and
-// four scratchpad banks at 200 MHz, 8 KB two-way 32-byte-line instruction
-// caches, and 64-bit 500 MHz GDDR SDRAM.
+// four scratchpad banks at 200 MHz.
 func DefaultConfig() Config {
 	return Config{
 		Cores:           6,
 		CPUMHz:          200,
-		ScratchpadBytes: 256 * 1024,
 		ScratchpadBanks: 4,
-		ICacheBytes:     8192,
-		ICacheWays:      2,
-		ICacheLine:      32,
-		SDRAMMHz:        500,
-		SDRAM:           mem.DefaultSDRAMConfig(),
 		Ordering:        firmware.SoftwareOnly,
 		Parallelism:     firmware.FrameParallel,
-		Host:            host.DefaultConfig(),
-		TxSlots:         512,
-		RxSlots:         512,
-		DMADepth:        4,
 	}
 }
 
@@ -161,8 +152,11 @@ const (
 // kept as the reference the sleeping engine must match byte for byte.
 var everyEdge bool
 
-// New assembles a controller.
-func New(cfg Config) *NIC {
+// New assembles a controller around the paper's host (host.DefaultConfig).
+func New(cfg Config) *NIC { return build(cfg, host.DefaultConfig()) }
+
+// build assembles a controller whose host model is sized by hcfg.
+func build(cfg Config, hcfg host.Config) *NIC {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
@@ -176,12 +170,12 @@ func New(cfg Config) *NIC {
 	}
 	n := &NIC{Cfg: cfg}
 
-	n.SP = mem.NewScratchpad(cfg.ScratchpadBytes, cfg.ScratchpadBanks)
+	n.SP = mem.NewScratchpad(scratchpadBytes, cfg.ScratchpadBanks)
 	n.Xbar = mem.NewCrossbar(cfg.Cores+4, cfg.ScratchpadBanks)
-	n.SDRAM = mem.NewSDRAM(cfg.SDRAM)
-	n.IMem = mem.NewInstrMemory(2, cfg.ICacheLine)
+	n.SDRAM = mem.NewSDRAM()
+	n.IMem = mem.NewInstrMemory(imemAccessCy, icacheLine)
 	nq := max(cfg.RxQueues, 1)
-	n.Host = host.New(cfg.Host, nq)
+	n.Host = host.New(hcfg, nq)
 	n.Host.Free = &n.frames
 
 	prtDMARd := cfg.Cores + 0
@@ -192,10 +186,10 @@ func New(cfg Config) *NIC {
 	n.As = firmware.Assists{
 		DMARead: assist.NewDMARead(
 			assist.NewScratchPort(n.SP, n.Xbar, prtDMARd, cfg.Cores+0),
-			n.SDRAM, sdramDMARead, n.Host, firmware.PtrDMARead, cfg.DMADepth),
+			n.SDRAM, sdramDMARead, n.Host, firmware.PtrDMARead),
 		DMAWrite: assist.NewDMAWrite(
 			assist.NewScratchPort(n.SP, n.Xbar, prtDMAWr, cfg.Cores+1),
-			n.SDRAM, sdramDMAWrite, n.Host, firmware.PtrDMAWrite, cfg.DMADepth),
+			n.SDRAM, sdramDMAWrite, n.Host, firmware.PtrDMAWrite),
 		MACTx: assist.NewMACTx(
 			assist.NewScratchPort(n.SP, n.Xbar, prtMACTx, cfg.Cores+2),
 			n.SDRAM, sdramMACTx, firmware.PtrMACTx),
@@ -229,10 +223,10 @@ func New(cfg Config) *NIC {
 		n.As.MACRx.MaxFrame = ethernet.JumboMaxFrame
 		n.Host.JumboFrames = true
 	}
-	n.FW = firmware.New(prof, n.SP, n.Host, n.As, cfg.Cores, cfg.TxSlots, cfg.RxSlots, slotBytes)
+	n.FW = firmware.New(prof, n.SP, n.Host, n.As, cfg.Cores, slotBytes)
 
 	for i := 0; i < cfg.Cores; i++ {
-		ic := mem.NewICache(cfg.ICacheBytes, cfg.ICacheWays, cfg.ICacheLine)
+		ic := mem.NewICache(icacheBytes, icacheWays, icacheLine)
 		c := cpu.New(i, n.SP, n.Xbar, i, ic, n.IMem, firmware.NumAcct)
 		c.NextWork = n.FW.NextWorkFor(i)
 		n.Cores = append(n.Cores, c)
@@ -260,7 +254,7 @@ func New(cfg Config) *NIC {
 	add(cpuD, n.Xbar)
 	add(cpuD, n.IMem)
 
-	sdramD := sim.NewDomain("sdram", cfg.SDRAMMHz*1e6)
+	sdramD := sim.NewDomain("sdram", mem.SDRAMHz)
 	add(sdramD, n.SDRAM)
 
 	macD := sim.NewDomain("mac", assist.MACHz)

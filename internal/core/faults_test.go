@@ -162,24 +162,40 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero-cores", mutate(func(c *Config) { c.Cores = 0 })},
+		{"59-cores", mutate(func(c *Config) { c.Cores = 59 })},
+		{"61-cores", mutate(func(c *Config) { c.Cores = 61 })},
 		{"negative-mhz", mutate(func(c *Config) { c.CPUMHz = -1 })},
 		{"zero-banks", mutate(func(c *Config) { c.ScratchpadBanks = 0 })},
-		{"unaligned-scratchpad", mutate(func(c *Config) { c.ScratchpadBytes = 1000 })},
-		{"zero-icache-line", mutate(func(c *Config) { c.ICacheLine = 0 })},
-		{"zero-sdram", mutate(func(c *Config) { c.SDRAMMHz = 0 })},
-		{"zero-tx-slots", mutate(func(c *Config) { c.TxSlots = 0 })},
-		{"zero-dma-depth", mutate(func(c *Config) { c.DMADepth = 0 })},
-		{"bad-host-ring", mutate(func(c *Config) { c.Host.SendRing = 0 })},
+		{"64-banks", mutate(func(c *Config) { c.ScratchpadBanks = 64 })},
+		{"unaligned-scratchpad", mutate(func(c *Config) { c.ScratchpadBanks = 3 })},
 		{"nan-mhz", mutate(func(c *Config) { c.CPUMHz = math.NaN() })},
-		{"inf-sdram", mutate(func(c *Config) { c.SDRAMMHz = math.Inf(1) })},
 		{"unknown-ordering", mutate(func(c *Config) { c.Ordering = 2 })},
 		{"unknown-parallelism", mutate(func(c *Config) { c.Parallelism = -1 })},
+		{"unknown-steering", mutate(func(c *Config) { c.RxQueues, c.Steering = 4, "random" })},
 		{"slots-over-queue-flags", mutate(func(c *Config) { c.RxQueues = 16 })},
-		{"send-ring-over-flags", mutate(func(c *Config) { c.Host.SendRing = 8192 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.cfg.Validate(); err == nil {
 				t.Error("Validate accepted an invalid config")
+			}
+		})
+	}
+	// The largest builds the hardware model holds run.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"58-cores", mutate(func(c *Config) { c.Cores = 58 })},
+		{"32-banks", mutate(func(c *Config) { c.ScratchpadBanks = 32 })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.Validate(); err != nil {
+				t.Fatalf("Validate rejected %+v: %v", tc.cfg, err)
+			}
+			n := New(tc.cfg)
+			n.AttachWorkload(1472, false)
+			if r := n.Run(0, 20*sim.Microsecond); r.InvariantViolations > 0 {
+				t.Errorf("%d invariant violations: %v", r.InvariantViolations, r.InvariantDetail)
 			}
 		})
 	}
@@ -202,8 +218,8 @@ func TestTakeoverRunDigest(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"sw-200", DefaultConfig(), "07d5514272cfde65"},
-		{"rmw-166", RMWConfig(), "544717cca050b4de"},
+		{"sw-200", DefaultConfig(), "bf2aee88473e6b2f"},
+		{"rmw-166", RMWConfig(), "160c569e598519a7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := runWithPlan(t, tc.cfg, faults.Reference(200*sim.Microsecond))

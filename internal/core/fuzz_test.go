@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/firmware"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // FuzzParseSLO asserts that ParseSLO never panics and that every SLO it
@@ -34,27 +35,28 @@ func FuzzParseSLO(f *testing.F) {
 	})
 }
 
-// FuzzConfig holds Validate to its contract over the numeric and enum
-// fields of Config, clamped to sizes a test can run: a rejected config gets
-// a non-empty error, and an accepted one builds, takes a workload and runs
-// 20 µs without a panic or an invariant violation.
+// FuzzConfig holds Validate to its contract over every field of Config but
+// Profile, with clocks clamped to speeds a test can run and core and bank
+// counts past the hardware model's bounds: a rejected config gets a
+// non-empty error, and an accepted one builds, takes a workload (jumbo
+// frames of up to 8972-byte datagrams on a jumbo build) and runs 20 µs
+// without a panic or an invariant violation.
 func FuzzConfig(f *testing.F) {
-	f.Add(uint8(6), 166.0, 500.0, uint8(4), uint16(512), uint16(512), uint8(4), uint8(1), uint8(1), uint8(0), uint16(1472))
-	f.Add(uint8(8), 175.0, 500.0, uint8(4), uint16(512), uint16(512), uint8(4), uint8(5), uint8(0), uint8(1), uint16(18))
-	f.Add(uint8(1), 800.0, 250.0, uint8(1), uint16(1), uint16(1), uint8(1), uint8(17), uint8(1), uint8(0), uint16(0))
-	f.Add(uint8(0), math.NaN(), math.Inf(1), uint8(3), uint16(0), uint16(0), uint8(0), uint8(4), uint8(2), uint8(5), uint16(9000))
-	f.Fuzz(func(t *testing.T, cores uint8, cpuMHz, sdramMHz float64, banks uint8, txSlots, rxSlots uint16, dmaDepth, rxQueues, ordering, parallelism uint8, udp uint16) {
+	f.Add(uint8(6), 166.0, uint8(4), uint8(1), uint8(1), uint8(0), "", false, uint16(1472))
+	f.Add(uint8(8), 175.0, uint8(4), uint8(5), uint8(0), uint8(1), "flow", false, uint16(18))
+	f.Add(uint8(1), 800.0, uint8(1), uint8(17), uint8(1), uint8(0), "rr", true, uint16(8972))
+	f.Add(uint8(0), math.NaN(), uint8(3), uint8(4), uint8(2), uint8(5), "random", true, uint16(9000))
+	f.Add(uint8(59), 200.0, uint8(64), uint8(9), uint8(0), uint8(0), "hash", false, uint16(0))
+	f.Fuzz(func(t *testing.T, cores uint8, cpuMHz float64, banks, rxQueues, ordering, parallelism uint8, steering string, jumbo bool, udp uint16) {
 		c := DefaultConfig()
-		c.Cores = int(cores % 20)
+		c.Cores = int(cores % 70)
 		c.CPUMHz = clampMHz(cpuMHz)
-		c.SDRAMMHz = clampMHz(sdramMHz)
-		c.ScratchpadBanks = int(banks % 10)
-		c.TxSlots = int(txSlots % 1100)
-		c.RxSlots = int(rxSlots % 1100)
-		c.DMADepth = int(dmaDepth % 10)
+		c.ScratchpadBanks = int(banks % 70)
 		c.RxQueues = int(rxQueues%20) - 1
 		c.Ordering = firmware.Ordering(ordering % 4)
 		c.Parallelism = firmware.Parallelism(parallelism % 4)
+		c.Steering = steering
+		c.JumboFrames = jumbo
 		if err := c.Validate(); err != nil {
 			if err.Error() == "" {
 				t.Fatalf("Validate rejected %+v with an empty error", c)
@@ -62,7 +64,14 @@ func FuzzConfig(f *testing.F) {
 			return
 		}
 		n := New(c)
-		n.AttachWorkload(int(udp%1473), false)
+		if jumbo {
+			ts := workload.TrafficSpec{Class: workload.ClassJumbo}
+			if err := n.AttachTraffic(int(udp%8973), ts, false); err != nil {
+				t.Fatalf("config %+v: %v", c, err)
+			}
+		} else {
+			n.AttachWorkload(int(udp%1473), false)
+		}
 		if r := n.Run(0, 20*sim.Microsecond); r.InvariantViolations > 0 {
 			t.Fatalf("config %+v: %d invariant violations: %v", c, r.InvariantViolations, r.InvariantDetail)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -46,32 +47,35 @@ func TestSleepMatchesEveryEdge(t *testing.T) {
 	rss4.RxQueues, rss4.Steering = 4, "flow"
 	rss8 := DefaultConfig()
 	rss8.RxQueues, rss8.Steering = 8, "rr"
-	small := rss4
-	small.Host.SendRing, small.Host.RecvRing = 16, 16
-	light := DefaultConfig()
-	light.Host.SendRing, light.Host.RecvRing = 8, 8
+	paper := host.DefaultConfig()
+	ring := func(n int) host.Config {
+		h := paper
+		h.SendRing, h.RecvRing = n, n
+		return h
+	}
 	for _, pt := range []struct {
 		name    string
 		cfg     Config
 		udp     int
 		traffic string
 		faults  faults.Plan
+		host    host.Config
 	}{
-		{"6x166-rmw", RMWConfig(), 1472, "", faults.Plan{}},
-		{"6x166-rmw-faults", RMWConfig(), 1472, "", ref},
-		{"8x175-sw-faults", sw8, 1472, "", ref},
-		{"8x175-sw-18B", sw8, 18, "", faults.Plan{}},
-		{"hostile-rss", rss4, 1472, "mixed,burst,flows=64,seed=1", ref},
-		{"rss-q8", rss8, 1472, "mcast,burst,flows=64,seed=1", faults.Plan{}},
-		{"overlapping-windows", RMWConfig(), 1472, "", overlap},
-		{"stuck-for-good", DefaultConfig(), 1472, "", stuck},
-		{"starve-and-lost-doorbells", small, 1472, "", starve},
-		{"bank-errors-pareto", light, 1472, "uniform,pareto,seed=3", banks},
-		{"sync-arrivals", DefaultConfig(), 1472, "uniform,sync,seed=1", faults.Plan{}},
+		{"6x166-rmw", RMWConfig(), 1472, "", faults.Plan{}, paper},
+		{"6x166-rmw-faults", RMWConfig(), 1472, "", ref, paper},
+		{"8x175-sw-faults", sw8, 1472, "", ref, paper},
+		{"8x175-sw-18B", sw8, 18, "", faults.Plan{}, paper},
+		{"hostile-rss", rss4, 1472, "mixed,burst,flows=64,seed=1", ref, paper},
+		{"rss-q8", rss8, 1472, "mcast,burst,flows=64,seed=1", faults.Plan{}, paper},
+		{"overlapping-windows", RMWConfig(), 1472, "", overlap, paper},
+		{"stuck-for-good", DefaultConfig(), 1472, "", stuck, paper},
+		{"starve-and-lost-doorbells", rss4, 1472, "", starve, ring(16)},
+		{"bank-errors-pareto", DefaultConfig(), 1472, "uniform,pareto,seed=3", banks, ring(8)},
+		{"sync-arrivals", DefaultConfig(), 1472, "uniform,sync,seed=1", faults.Plan{}, paper},
 	} {
 		t.Run(pt.name, func(t *testing.T) {
 			run := func() ([]byte, uint64) {
-				n := New(pt.cfg)
+				n := NewWithHost(pt.cfg, pt.host)
 				if pt.traffic == "" {
 					n.AttachWorkload(pt.udp, false)
 				} else {

@@ -203,7 +203,7 @@ type Core struct {
 	xcbAddr  uint32
 	xcbDone  uint32
 	xcbOwner sim.Completer
-	xbarDone func(waited uint64)
+	xbarDone func()
 	onFill   func() // pre-bound instruction-fill completion
 	wake     func() // the clock domain's wake function (sim.Sleeper)
 
@@ -256,7 +256,7 @@ const (
 // onXbarDone is the completion callback for every core-issued crossbar
 // transaction; it reproduces exactly what the former per-op closures did,
 // using the transaction state recorded at submit time.
-func (c *Core) onXbarDone(_ uint64) {
+func (c *Core) onXbarDone() {
 	addr, owner, done := c.xcbAddr, c.xcbOwner, c.xcbDone
 	c.xcbOwner, c.xcbDone = nil, 0
 	switch c.xcb {

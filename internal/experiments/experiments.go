@@ -16,6 +16,7 @@ import (
 	"repro/internal/firmware"
 	"repro/internal/fwkernels"
 	"repro/internal/ilp"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/smpcache"
 	"repro/internal/trace"
@@ -255,7 +256,7 @@ func PrintTable4(w io.Writer, r core.Report) {
 	fmt.Fprintf(w, "  %-20s required %6.2f  peak %6.2f  consumed %6.2f Gb/s\n",
 		"Scratchpads", 4.8, peakScratch, r.ScratchGbps)
 	fmt.Fprintf(w, "  %-20s required %6.2f  peak %6.2f  consumed %6.2f Gb/s (%.2f useful)\n",
-		"Frame memory", 39.5, r.Cfg.SDRAMMHz*16*8/1e3, r.FrameMemGbps, r.FrameUsefulGbps)
+		"Frame memory", 39.5, mem.PeakGbps(), r.FrameMemGbps, r.FrameUsefulGbps)
 	fmt.Fprintf(w, "  %-20s port busy %.1f%% (idle %.1f%% of the time)\n",
 		"Instruction memory", 100*r.IMemUtilization, 100*(1-r.IMemUtilization))
 }

@@ -243,7 +243,7 @@ type Firmware struct {
 // buffer slots; zero means the standard 1530 bytes (a maximum frame plus
 // slack, deliberately not 8-byte aligned), and jumbo-enabled builds pass a
 // slot large enough for a jumbo frame.
-func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores int, txSlots, rxSlots int, slotBytes uint32) *Firmware {
+func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores int, slotBytes uint32) *Firmware {
 	if slotBytes == 0 {
 		slotBytes = 1530
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/host"
 )
 
 func TestSlotRingAllocRelease(t *testing.T) {
@@ -181,6 +182,23 @@ func TestLockAddressesDistinctBanks(t *testing.T) {
 	}
 	if len(banks) != 4 {
 		t.Errorf("hot locks share banks: %v", banks)
+	}
+}
+
+// TestFlagsCoverEveryFrameInFlight holds the fixed sizes to the status-flag
+// arrays: every frame in a receive queue's pipeline holds a buffer slot and
+// one of the queue's flags, and a single flow steers all frames to one
+// queue, so each of MaxRxQueues queues needs a flag per receive slot;
+// likewise the send flags cover every frame the host keeps posted.
+func TestFlagsCoverEveryFrameInFlight(t *testing.T) {
+	if got := RecvFlagBits(MaxRxQueues); got < rxSlots {
+		t.Errorf("%d receive queues get %d flags each, fewer than the %d receive slots", MaxRxQueues, got, rxSlots)
+	}
+	if got := RecvFlagBits(2 * MaxRxQueues); got >= rxSlots {
+		t.Errorf("MaxRxQueues %d is not the largest power of two: %d queues still get %d flags each", MaxRxQueues, 2*MaxRxQueues, got)
+	}
+	if ring := host.DefaultConfig().SendRing; ring > FlagBits {
+		t.Errorf("the host's %d-frame send ring exceeds the %d send flags", ring, FlagBits)
 	}
 }
 

@@ -28,18 +28,18 @@ func newRig(nCores int) *rig {
 	const banks = 4
 	sp := mem.NewScratchpad(256*1024, banks)
 	xbar := mem.NewCrossbar(nCores+4, banks)
-	sdram := mem.NewSDRAM(mem.DefaultSDRAMConfig())
+	sdram := mem.NewSDRAM()
 	imem := mem.NewInstrMemory(2, 32)
 	hst := host.New(host.DefaultConfig(), 1)
 	port := func(i int) *assist.ScratchPort { return assist.NewScratchPort(sp, xbar, nCores+i, nCores+i) }
 	as := Assists{
-		DMARead:  assist.NewDMARead(port(0), sdram, 0, hst, PtrDMARead, 4),
-		DMAWrite: assist.NewDMAWrite(port(1), sdram, 1, hst, PtrDMAWrite, 4),
+		DMARead:  assist.NewDMARead(port(0), sdram, 0, hst, PtrDMARead),
+		DMAWrite: assist.NewDMAWrite(port(1), sdram, 1, hst, PtrDMAWrite),
 		MACTx:    assist.NewMACTx(port(2), sdram, 2, PtrMACTx),
 		MACRx:    assist.NewMACRx(port(3), sdram, 3, PtrMACRx),
 	}
 	as.MACRx.Queues = 1
-	fw := New(DefaultProfile(RMWEnhanced), sp, hst, as, nCores, 512, 512, 0)
+	fw := New(DefaultProfile(RMWEnhanced), sp, hst, as, nCores, 0)
 	hst.Source = &workload.Sender{G: workload.NewGenerator(1472, false)}
 	as.MACRx.Source = &workload.Arrivals{G: workload.NewGenerator(1472, false)}
 

@@ -81,12 +81,19 @@ const (
 // in flight.
 const FlagBits = 4096
 
+// The SDRAM frame buffer rings hold txSlots transmit and rxSlots receive
+// frames.
+const (
+	txSlots = 512
+	rxSlots = 512
+)
+
 // MaxRxQueues bounds the RSS receive-queue count. Per-queue status-flag
 // arrays subdivide the fixed FlagsRecv region evenly, so the count must be
-// a power of two; 16 queues leave 256 flag bits per queue. A single flow
-// steers every frame to one queue, so a build's receive buffer slots must
-// not outnumber one queue's flags (core.Config.Validate checks).
-const MaxRxQueues = 16
+// a power of two. A single flow steers every frame to one queue, so each
+// queue's flags must cover every receive buffer slot: 8 queues leave
+// FlagBits/8 = rxSlots flags per queue.
+const MaxRxQueues = FlagBits / rxSlots
 
 // RecvFlagBits returns the per-queue status-flag capacity with nq receive
 // queues: FlagBits with one queue (the whole legacy array), FlagBits/nq

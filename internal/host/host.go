@@ -96,9 +96,8 @@ type SendSource interface {
 	Next() *Frame
 }
 
-// Config sizes the host model.
-//
-//nic:hashstable 1a32ae0a93c5
+// Config sizes the host model. A controller always uses DefaultConfig;
+// other sizes serve the host's own tests and the core's sleep oracle.
 type Config struct {
 	// DMALatencyCycles is the host round-trip latency in host clock cycles.
 	DMALatencyCycles int

@@ -48,8 +48,7 @@ type xbarPort struct {
 	active   bool
 	resource int
 	write    bool
-	waited   uint64
-	onDone   func(waited uint64)
+	onDone   func()
 }
 
 // ExtMemResource returns the resource index of the external memory bus
@@ -84,9 +83,6 @@ func NewCrossbar(ports, banks int) *Crossbar {
 	return x
 }
 
-// Ports returns the number of requester ports.
-func (x *Crossbar) Ports() int { return len(x.ports) }
-
 // Busy reports whether the port has a request outstanding (waiting or in the
 // access cycle).
 func (x *Crossbar) Busy(port int) bool { return x.ports[port].active }
@@ -94,10 +90,9 @@ func (x *Crossbar) Busy(port int) bool { return x.ports[port].active }
 // Submit enqueues a request on the given port for the given resource. Each
 // port may have one request outstanding; submitting to a busy port panics,
 // since the processor pipeline and assist engines are responsible for not
-// over-issuing. onDone is invoked, with the number of cycles the request
-// waited in arbitration, during the tick in which data returns; it may be
-// nil.
-func (x *Crossbar) Submit(port, resource int, write bool, onDone func(waited uint64)) {
+// over-issuing. onDone is invoked during the tick in which data returns; it
+// may be nil.
+func (x *Crossbar) Submit(port, resource int, write bool, onDone func()) {
 	p := &x.ports[port]
 	if p.active {
 		panic(fmt.Sprintf("mem: crossbar port %d already busy", port))
@@ -111,7 +106,6 @@ func (x *Crossbar) Submit(port, resource int, write bool, onDone func(waited uin
 	p.active = true
 	p.resource = resource
 	p.write = write
-	p.waited = 0
 	p.onDone = onDone
 	x.waiting[resource] |= 1 << uint(port)
 	x.waitRes |= 1 << uint(resource)
@@ -140,10 +134,9 @@ func (x *Crossbar) Tick(cycle uint64) {
 		x.busy--
 		p := &x.ports[g-1]
 		done := p.onDone
-		waited := p.waited
 		*p = xbarPort{}
 		if done != nil {
-			done(waited)
+			done()
 		}
 	}
 	var stalled uint64
@@ -186,7 +179,6 @@ func (x *Crossbar) Tick(cycle uint64) {
 		for w != 0 {
 			pj := bits.TrailingZeros64(w)
 			w &^= 1 << uint(pj)
-			x.ports[pj].waited++
 			x.WaitCycles[pj].Inc()
 		}
 	}

@@ -59,10 +59,7 @@ func TestScratchpadBadGeometryPanics(t *testing.T) {
 func TestCrossbarSingleAccessTakesTwoCycles(t *testing.T) {
 	x := NewCrossbar(2, 4)
 	done := -1
-	x.Submit(0, 2, false, func(waited uint64) {
-		if waited != 0 {
-			t.Errorf("waited = %d, want 0", waited)
-		}
+	x.Submit(0, 2, false, func() {
 		done = 0
 	})
 	x.Tick(0) // grant
@@ -76,6 +73,9 @@ func TestCrossbarSingleAccessTakesTwoCycles(t *testing.T) {
 	if done == -1 {
 		t.Fatal("did not complete after two ticks")
 	}
+	if w := x.WaitCycles[0].Value(); w != 0 {
+		t.Errorf("waited %d cycles, want 0", w)
+	}
 	if x.Busy(0) {
 		t.Fatal("port still busy after completion")
 	}
@@ -86,7 +86,7 @@ func TestCrossbarConflictSerializes(t *testing.T) {
 	var order []int
 	for p := 0; p < 3; p++ {
 		p := p
-		x.Submit(p, 1, false, func(uint64) { order = append(order, p) })
+		x.Submit(p, 1, false, func() { order = append(order, p) })
 	}
 	for c := uint64(0); c < 6; c++ {
 		x.Tick(c)
@@ -111,8 +111,8 @@ func TestCrossbarConflictSerializes(t *testing.T) {
 func TestCrossbarDifferentBanksProceedInParallel(t *testing.T) {
 	x := NewCrossbar(2, 4)
 	done := 0
-	x.Submit(0, 0, false, func(uint64) { done++ })
-	x.Submit(1, 3, true, func(uint64) { done++ })
+	x.Submit(0, 0, false, func() { done++ })
+	x.Submit(1, 3, true, func() { done++ })
 	x.Tick(0)
 	x.Tick(1)
 	if done != 2 {
@@ -126,7 +126,7 @@ func TestCrossbarRoundRobinFairness(t *testing.T) {
 	counts := [2]int{}
 	var resubmit func(p int)
 	resubmit = func(p int) {
-		x.Submit(p, 0, false, func(uint64) {
+		x.Submit(p, 0, false, func() {
 			counts[p]++
 			resubmit(p)
 		})
@@ -182,7 +182,7 @@ func TestAlignedLen(t *testing.T) {
 }
 
 func TestSDRAMTransferCompletesAndCountsBandwidth(t *testing.T) {
-	s := NewSDRAM(DefaultSDRAMConfig())
+	s := NewSDRAM()
 	done := false
 	s.Enqueue(0, Transfer{Addr: 4, Len: 1518, Write: true, Owner: sim.CompleteFunc(func(uint32) { done = true })})
 	for c := uint64(0); c < 200 && !done; c++ {
@@ -206,7 +206,7 @@ func TestSDRAMTransferCompletesAndCountsBandwidth(t *testing.T) {
 }
 
 func TestSDRAMSequentialBurstsReuseOpenRow(t *testing.T) {
-	s := NewSDRAM(DefaultSDRAMConfig())
+	s := NewSDRAM()
 	n := 0
 	count := sim.CompleteFunc(func(uint32) { n++ })
 	// Two bursts within the same 2 KB row: one activation only.
@@ -224,7 +224,7 @@ func TestSDRAMSequentialBurstsReuseOpenRow(t *testing.T) {
 }
 
 func TestSDRAMRoundRobinAcrossPorts(t *testing.T) {
-	s := NewSDRAM(DefaultSDRAMConfig())
+	s := NewSDRAM()
 	var order []int
 	record := sim.CompleteFunc(func(p uint32) { order = append(order, int(p)) })
 	for p := 0; p < 4; p++ {
@@ -246,15 +246,15 @@ func TestSDRAMRoundRobinAcrossPorts(t *testing.T) {
 func TestSDRAMPeakBandwidthMatchesPaper(t *testing.T) {
 	// "A 64-bit wide GDDR SDRAM operating at 500 MHz provides a peak
 	// bandwidth of 64 Gb/s."
-	if got := PeakGbps(500); math.Abs(got-64) > 1e-9 {
-		t.Errorf("PeakGbps(500) = %v, want 64", got)
+	if got := PeakGbps(); math.Abs(got-64) > 1e-9 {
+		t.Errorf("PeakGbps() = %v, want 64", got)
 	}
 }
 
 func TestSDRAMSustainedStreamNearPeak(t *testing.T) {
 	// Back-to-back maximum-frame bursts to consecutive addresses must
 	// sustain near-peak bandwidth: few activations, high bus utilization.
-	s := NewSDRAM(DefaultSDRAMConfig())
+	s := NewSDRAM()
 	addr := uint32(0)
 	var issue sim.CompleteFunc
 	issue = func(uint32) {

@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"fmt"
-
 	"repro/internal/fifo"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -25,12 +23,9 @@ import (
 //
 // SDRAM is a sim.Sleeper registered in the SDRAM clock domain.
 type SDRAM struct {
-	rowBytes   int
-	banks      int
-	openRow    []int64
-	activateCy int
+	openRow [sdramBanks]int64
 
-	queues  []fifo.Queue[Transfer]
+	queues  [sdramPorts]fifo.Queue[Transfer]
 	current Transfer
 	active  bool
 	// remaining cycles in the current burst, including activation overhead
@@ -44,10 +39,7 @@ type SDRAM struct {
 	WastedBytes   stats.Counter
 	Activations   stats.Counter
 	Busy          stats.Utilization
-	// Latency records per-transfer total cycles (queue + activate + data).
-	Latency *stats.Histogram
 
-	now  uint64
 	wake func() // the clock domain's wake function (sim.Sleeper)
 }
 
@@ -59,55 +51,37 @@ type Transfer struct {
 	Write bool
 	Tag   uint32
 	Owner sim.Completer
-
-	queuedAt uint64
 }
 
-// SDRAMConfig parameterizes the memory device. It serializes inside
-// core.Config (and so inside every spec hash); new knobs must be tagged
-// ,omitempty with a zero default.
-//
-//nic:hashstable d83b7eb9ed1d
-type SDRAMConfig struct {
-	Ports      int // number of requesters (the four assists)
-	RowBytes   int // bytes per row (page) per bank
-	Banks      int
-	ActivateCy int // cycles to precharge+activate on a row miss
-}
+// The fixed part, a Micron MT44H8M32-class GDDR device as in the paper: a
+// 500 MHz bus shared by the four assists, four internal banks of 2 KB pages,
+// and an activation penalty that yields worst-case latencies in the tens of
+// cycles.
+const (
+	// SDRAMHz is the SDRAM clock domain's frequency.
+	SDRAMHz = 500e6
 
-// DefaultSDRAMConfig matches the Micron MT44H8M32-class part in the paper:
-// four internal banks, 2 KB pages, and an activation penalty that yields
-// worst-case latencies in the tens of cycles.
-func DefaultSDRAMConfig() SDRAMConfig {
-	return SDRAMConfig{Ports: 4, RowBytes: 2048, Banks: 4, ActivateCy: 9}
-}
+	sdramPorts      = 4    // requesters: the four assists
+	sdramRowBytes   = 2048 // bytes per row (page) per bank
+	sdramBanks      = 4
+	sdramActivateCy = 9 // cycles to precharge and activate on a row miss
+)
 
-// NewSDRAM creates an SDRAM model.
-func NewSDRAM(cfg SDRAMConfig) *SDRAM {
-	if cfg.Ports <= 0 || cfg.Banks <= 0 || cfg.RowBytes <= 0 {
-		panic(fmt.Sprintf("mem: bad SDRAM config %+v", cfg))
-	}
-	s := &SDRAM{
-		rowBytes:   cfg.RowBytes,
-		banks:      cfg.Banks,
-		openRow:    make([]int64, cfg.Banks),
-		activateCy: cfg.ActivateCy,
-		queues:     make([]fifo.Queue[Transfer], cfg.Ports),
-		Latency:    stats.NewHistogram(4, 8, 16, 27, 64, 128, 256),
-	}
+// NewSDRAM creates the SDRAM model.
+func NewSDRAM() *SDRAM {
+	s := &SDRAM{}
 	for i := range s.openRow {
 		s.openRow[i] = -1
 	}
 	return s
 }
 
-// Enqueue adds a transfer to the given port's queue. It wakes the SDRAM's
-// clock domain first, which also brings s.now up to date for the stamp.
+// Enqueue adds a transfer to the given port's queue, waking the SDRAM's
+// clock domain.
 func (s *SDRAM) Enqueue(port int, t Transfer) {
 	if s.wake != nil {
 		s.wake()
 	}
-	t.queuedAt = s.now
 	s.queues[port].Push(t)
 }
 
@@ -125,10 +99,9 @@ func alignedLen(addr uint32, n int) int {
 
 // Tick advances the SDRAM and its shared bus by one cycle.
 func (s *SDRAM) Tick(cycle uint64) {
-	s.now = cycle
 	s.Busy.Total.Inc()
 	if !s.active {
-		s.start(cycle)
+		s.start()
 	}
 	if !s.active {
 		return
@@ -138,18 +111,17 @@ func (s *SDRAM) Tick(cycle uint64) {
 	if s.remaining == 0 {
 		t := s.current
 		s.current, s.active = Transfer{}, false
-		s.Latency.Observe(cycle + 1 - t.queuedAt)
 		if t.Owner != nil {
 			t.Owner.Complete(t.Tag)
 		}
 		// Start the next burst immediately so back-to-back streams sustain
 		// full bandwidth.
-		s.start(cycle)
+		s.start()
 	}
 }
 
 // start pops the next transfer round-robin and computes its burst length.
-func (s *SDRAM) start(cycle uint64) {
+func (s *SDRAM) start() {
 	for i := 1; i <= len(s.queues); i++ {
 		p := (s.rr + i) % len(s.queues)
 		if s.queues[p].Len() == 0 {
@@ -164,10 +136,10 @@ func (s *SDRAM) start(cycle uint64) {
 			dataCycles = 1
 		}
 		overhead := 0
-		bank := int(t.Addr/uint32(s.rowBytes)) % s.banks
-		row := int64(t.Addr) / int64(s.rowBytes) / int64(s.banks)
+		bank := int(t.Addr/sdramRowBytes) % sdramBanks
+		row := int64(t.Addr) / sdramRowBytes / sdramBanks
 		if s.openRow[bank] != row {
-			overhead = s.activateCy
+			overhead = sdramActivateCy
 			s.openRow[bank] = row
 			s.Activations.Inc()
 		}
@@ -180,8 +152,8 @@ func (s *SDRAM) start(cycle uint64) {
 	}
 }
 
-// PeakGbps returns the peak bandwidth at the given SDRAM frequency in MHz.
-func PeakGbps(mhz float64) float64 { return mhz * 1e6 * 16 * 8 / 1e9 }
+// PeakGbps returns the SDRAM's peak bandwidth: 16 bytes per cycle.
+func PeakGbps() float64 { return SDRAMHz * 16 * 8 / 1e9 }
 
 // Sleep implements sim.Sleeper. An idle SDRAM sleeps until Enqueue wakes
 // it; during a burst every cycle before the last only counts down.
@@ -193,10 +165,9 @@ func (s *SDRAM) Sleep() uint64 {
 }
 
 // Skip implements sim.Sleeper: it replays the bookkeeping of n cycles the
-// engine slept through, so utilization, the burst countdown and the "now"
-// that later queuedAt stamps read match a fully ticked run.
+// engine slept through, so utilization and the burst countdown match a
+// fully ticked run.
 func (s *SDRAM) Skip(n uint64) {
-	s.now += n
 	s.Busy.Total.Add(n)
 	if s.active {
 		s.Busy.Busy.Add(n)

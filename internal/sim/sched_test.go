@@ -314,36 +314,6 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 				ev.Schedule(i*(i%7+1)*23*Nanosecond+i%5*1000, j.submit)
 			}
 		}, long, false},
-		// Tickers past the first 64 of a domain tick every edge, after the
-		// sleepers, which still sleep.
-		{"past-64-tickers", func(r *diffRig) {
-			p := r.domain("cpu", 200e6)
-			q := r.domain("host", 133e6)
-			var js []*job
-			for i := 0; i < 66; i++ {
-				js = append(js, r.job(p, 3+i%17, 40+i%5))
-			}
-			for i, j := range js {
-				if i%9 == 0 {
-					r.producer(q, j, 7+uint64(i))
-				}
-			}
-			r.producer(p, js[65], 5)
-		}, long, true},
-		// Tickers past the first 64 wake sleepers among the first 64 of
-		// their own domain, directly and from a completion, so each wake
-		// lands after the domain's pass over its sleepers.
-		{"past-64-wake-earlier", func(r *diffRig) {
-			p := r.domain("cpu", 200e6)
-			var js []*job
-			for i := 0; i < 65; i++ {
-				js = append(js, r.job(p, 2+i%13, 20+i%7))
-			}
-			js[64].onDone = js[5].submit
-			r.producer(p, js[0], 9)
-			r.producer(p, js[63], 7)
-			r.producer(p, js[64], 11)
-		}, long, true},
 		// Deadlines that land on edges only the sleeping 2000 ps domain has
 		// (4000 ps is no 5000 ps edge), off every edge, and on shared edges,
 		// run back to back.
@@ -395,6 +365,21 @@ func TestSleepingDomainCountsOnlyExecutedTicks(t *testing.T) {
 	if s.Cycles() != 500 || j.total != 500 {
 		t.Errorf("cycles = %d, job total = %d, want 500 each after settling", s.Cycles(), j.total)
 	}
+}
+
+// TestDomainAddPanicsPast64Tickers holds a domain to the 64 tickers its
+// sleep masks have bits for.
+func TestDomainAddPanicsPast64Tickers(t *testing.T) {
+	d := NewDomain("cpu", 200e6)
+	for i := 0; i < 64; i++ {
+		d.Add(TickFunc(func(uint64) {}))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add accepted a 65th ticker")
+		}
+	}()
+	d.Add(TickFunc(func(uint64) {}))
 }
 
 func TestEventHeapSameInstantFiresInScheduleOrder(t *testing.T) {

@@ -95,11 +95,10 @@ type Sleeper interface {
 	// be replayed in several parts.
 	Skip(n uint64)
 	// SetWake receives the ticker's wake function when it is added to a
-	// Domain (one of its first 64 tickers). Every call replays the
-	// bookkeeping skipped up to that instant, so a ticker calls it before
-	// stamping anything with its own replayed state, and then asks Sleep
-	// again from the first edge a fully ticked run has not yet processed for
-	// the ticker. A ticker that reported UntilWoken ticks after as many
+	// Domain. Every call replays the bookkeeping skipped up to that
+	// instant, so a ticker calls it before stamping anything with its own
+	// replayed state, and then asks Sleep again from the first edge a fully
+	// ticked run has not yet processed for the ticker. A ticker that reported UntilWoken ticks after as many
 	// edges as the new answer allows, or at that edge when it still answers
 	// UntilWoken (it calls wake before taking the work it is given). A
 	// counting-down ticker only ever ticks earlier than before, so one whose
@@ -134,18 +133,18 @@ type Domain struct {
 	order  int
 	ahead  uint64 // clocked: cycles past edge beyond which next saturates at NoEdge
 
-	// The tickers, in registration order, and the sleep state of the first
-	// maxSleepers. awake has a bit per slot that ticks at the domain's next
-	// edge; a sleeping slot next ticks at needs[i] (UntilWoken while idle).
+	// The tickers, in registration order, and their sleep state. awake has
+	// a bit per slot that ticks at the domain's next edge; a sleeping slot
+	// next ticks at needs[i] (UntilWoken while idle).
 	// counting has a bit per slot asleep until a need that is a cycle, and
 	// soonest is at most the least of those needs (UntilWoken when there is
 	// none): a wake that cuts a countdown short may leave it early, which
 	// costs one scan that finds nothing due, or, while every ticker sleeps,
 	// one edge at which nothing ticks.
 	// During the domain's pass, pass holds the slots still due at this edge
-	// and pos the slot ticking; after the pass pos is maxSleepers.
+	// and pos the slot ticking; after the pass pos is maxTickers.
 	slots    []slot
-	needs    []uint64 // one per slot among the first maxSleepers, for the scan
+	needs    []uint64 // one per slot, for the scan
 	awake    uint64
 	pass     uint64
 	counting uint64
@@ -159,8 +158,7 @@ type Domain struct {
 }
 
 // slot is one registered ticker and its sleep state. One that is not a
-// Sleeper, or comes after the first maxSleepers, has a nil s and ticks every
-// edge.
+// Sleeper has a nil s and ticks every edge.
 type slot struct {
 	t     Ticker
 	s     Sleeper
@@ -168,9 +166,9 @@ type slot struct {
 	ticks uint64 // real ticks executed
 }
 
-// maxSleepers is the number of a domain's tickers that may sleep: one bit
-// each in the domain's masks. Later tickers tick every edge, after them.
-const maxSleepers = 64
+// maxTickers is the number of tickers a domain holds: one bit each in the
+// domain's masks.
+const maxTickers = 64
 
 type schedEvent struct {
 	at  Picoseconds
@@ -295,21 +293,19 @@ func (d *Domain) Period() Picoseconds { return d.period }
 // cycles it slept through up to the last return of RunFor or RunUntil.
 func (d *Domain) Cycles() uint64 { return d.cycle }
 
-// Add registers a ticker with the domain. Tickers run in registration order
-// within a cycle, which keeps simulations deterministic. A Sleeper among the
-// first 64 tickers receives its wake function here. Register tickers before
-// the run; one added later first ticks at the domain's next edge.
+// Add registers a ticker with the domain; it panics past the 64th. Tickers
+// run in registration order within a cycle, which keeps simulations
+// deterministic. A Sleeper receives its wake function here. Register tickers
+// before the run; one added later first ticks at the domain's next edge.
 func (d *Domain) Add(t Ticker) {
 	i := len(d.slots)
+	if i >= maxTickers {
+		panic(fmt.Sprintf("sim: domain %q holds at most %d tickers", d.name, maxTickers))
+	}
 	s, _ := t.(Sleeper)
-	if i >= maxSleepers {
-		s = nil
-	}
 	d.slots = append(d.slots, slot{t: t, s: s, at: d.cycle})
-	if i < maxSleepers {
-		d.needs = append(d.needs, 0)
-		d.awake |= 1 << uint(i)
-	}
+	d.needs = append(d.needs, 0)
+	d.awake |= 1 << uint(i)
 	if s != nil {
 		s.SetWake(func() { d.wake(i) })
 	}
@@ -366,16 +362,10 @@ func (d *Domain) tick() {
 		}
 		d.awake |= 1 << uint(i)
 	}
-	// Tickers past the first maxSleepers tick after the pass: a wake they
-	// send comes after every sleeper's turn at this edge.
-	d.pos = maxSleepers
-	for i := maxSleepers; i < len(slots); i++ {
-		slots[i].ticks++
-		slots[i].t.Tick(c)
-	}
+	d.pos = maxTickers
 	d.cycle = c + 1
 	d.edge += d.period
-	if d.awake != 0 || len(slots) > maxSleepers {
+	if d.awake != 0 {
 		d.next = d.edge
 		return
 	}

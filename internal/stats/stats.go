@@ -1,13 +1,7 @@
-// Package stats provides the counters, rates, and utilization trackers used
-// to report the measured quantities in the paper's tables: instructions per
+// Package stats provides the counters and utilization trackers used to
+// report the measured quantities in the paper's tables: instructions per
 // cycle breakdowns, memory-port utilization, and link throughput.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // A Counter is a monotonically increasing event count.
 type Counter struct {
@@ -26,24 +20,6 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// PerSecond converts a count accumulated over the given simulated duration
-// (seconds) into a rate.
-func PerSecond(count uint64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(count) / seconds
-}
-
-// Gbps converts a byte count accumulated over the given simulated duration
-// into gigabits per second.
-func Gbps(bytes uint64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / seconds / 1e9
-}
-
 // A Utilization tracks busy cycles against total cycles for a shared resource
 // such as the instruction-memory port or the SDRAM bus.
 type Utilization struct {
@@ -57,65 +33,4 @@ func (u *Utilization) Ratio() float64 {
 		return 0
 	}
 	return float64(u.Busy.Value()) / float64(u.Total.Value())
-}
-
-// A Histogram accumulates integer samples in caller-defined buckets for
-// latency and queue-depth distributions.
-type Histogram struct {
-	bounds []uint64 // sorted upper bounds; final bucket is unbounded
-	counts []uint64
-	sum    uint64
-	n      uint64
-	max    uint64
-}
-
-// NewHistogram creates a histogram with the given strictly increasing bucket
-// upper bounds. A sample s lands in the first bucket with s <= bound; samples
-// above every bound land in a final overflow bucket. Unsorted or duplicate
-// bounds panic: a duplicate bound is a bucket that can never receive a sample,
-// which is always a spec mistake.
-func NewHistogram(bounds ...uint64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly increasing")
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(s uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return s <= h.bounds[i] })
-	h.counts[i]++
-	h.sum += s
-	h.n++
-	if s > h.max {
-		h.max = s
-	}
-}
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the sample mean, or NaN when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Max returns the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Bucket returns the count in bucket i; bucket len(bounds) is the overflow
-// bucket.
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// Buckets returns the number of buckets including overflow.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f max=%d", h.n, h.Mean(), h.max)
 }

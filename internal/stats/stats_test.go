@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounter(t *testing.T) {
@@ -19,22 +18,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestPerSecond(t *testing.T) {
-	if got := PerSecond(1000, 0.5); got != 2000 {
-		t.Errorf("PerSecond(1000, 0.5) = %v, want 2000", got)
-	}
-	if got := PerSecond(1000, 0); got != 0 {
-		t.Errorf("PerSecond with zero duration = %v, want 0", got)
-	}
-}
-
-func TestGbps(t *testing.T) {
-	// 1.25e9 bytes in one second is exactly 10 Gb/s.
-	if got := Gbps(1250000000, 1.0); math.Abs(got-10) > 1e-12 {
-		t.Errorf("Gbps = %v, want 10", got)
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	var u Utilization
 	if u.Ratio() != 0 {
@@ -44,108 +27,5 @@ func TestUtilization(t *testing.T) {
 	u.Busy.Add(3)
 	if got := u.Ratio(); math.Abs(got-0.03) > 1e-12 {
 		t.Errorf("Ratio() = %v, want 0.03", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(1, 10, 100)
-	for _, s := range []uint64{0, 1, 2, 10, 11, 100, 1000} {
-		h.Observe(s)
-	}
-	want := []uint64{2, 2, 2, 1} // {0,1}, {2,10}, {11,100}, {1000}
-	for i, w := range want {
-		if h.Bucket(i) != w {
-			t.Errorf("Bucket(%d) = %d, want %d", i, h.Bucket(i), w)
-		}
-	}
-	if h.Count() != 7 {
-		t.Errorf("Count() = %d, want 7", h.Count())
-	}
-	if h.Max() != 1000 {
-		t.Errorf("Max() = %d, want 1000", h.Max())
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(100)
-	if !math.IsNaN(h.Mean()) {
-		t.Errorf("empty Mean() = %v, want NaN", h.Mean())
-	}
-	h.Observe(10)
-	h.Observe(20)
-	if got := h.Mean(); got != 15 {
-		t.Errorf("Mean() = %v, want 15", got)
-	}
-}
-
-func TestHistogramUnsortedBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with unsorted bounds did not panic")
-		}
-	}()
-	NewHistogram(10, 1)
-}
-
-func TestHistogramCountPropertyTotalsMatch(t *testing.T) {
-	// Property: the sum over buckets always equals the observation count.
-	f := func(samples []uint16) bool {
-		h := NewHistogram(16, 256, 4096)
-		for _, s := range samples {
-			h.Observe(uint64(s))
-		}
-		var total uint64
-		for i := 0; i < h.Buckets(); i++ {
-			total += h.Bucket(i)
-		}
-		return total == h.Count() && h.Count() == uint64(len(samples))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramDuplicateBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with duplicate bounds did not panic")
-		}
-	}()
-	// A duplicate bound would create a bucket no sample can ever land in.
-	NewHistogram(1, 10, 10, 20)
-}
-
-func TestHistogramNoBounds(t *testing.T) {
-	// Zero bounds is legal: a single overflow bucket counting everything.
-	h := NewHistogram()
-	if got := h.Buckets(); got != 1 {
-		t.Fatalf("Buckets() = %d, want 1", got)
-	}
-	for _, s := range []uint64{0, 7, 1 << 40} {
-		h.Observe(s)
-	}
-	if got := h.Bucket(0); got != 3 {
-		t.Errorf("Bucket(0) = %d, want 3", got)
-	}
-	if got := h.Max(); got != 1<<40 {
-		t.Errorf("Max() = %d, want %d", got, uint64(1)<<40)
-	}
-}
-
-func TestHistogramBoundaryLanding(t *testing.T) {
-	// A sample equal to a bound lands in that bound's bucket, one above it in
-	// the next.
-	h := NewHistogram(10, 20)
-	h.Observe(10)
-	h.Observe(11)
-	h.Observe(21)
-	if got := h.Bucket(0); got != 1 {
-		t.Errorf("Bucket(0) = %d, want 1", got)
-	}
-	if got := h.Bucket(1); got != 1 {
-		t.Errorf("Bucket(1) = %d, want 1", got)
-	}
-	if got := h.Bucket(2); got != 1 {
-		t.Errorf("overflow Bucket(2) = %d, want 1", got)
 	}
 }
