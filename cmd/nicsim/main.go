@@ -16,8 +16,8 @@ import (
 )
 
 func main() {
-	cores := flag.Int("cores", 6, "number of processing cores")
-	mhz := flag.Float64("mhz", 200, "core and scratchpad frequency in MHz")
+	cores := flag.Int("cores", 6, "number of processing cores, 1 to 8")
+	mhz := flag.Float64("mhz", 200, "core and scratchpad frequency in MHz, 100 to 800")
 	banks := flag.Int("banks", 4, "scratchpad banks")
 	udp := flag.Int("udp", 1472, "UDP datagram size in bytes")
 	rmw := flag.Bool("rmw", false, "use the RMW-enhanced (set/update) firmware")

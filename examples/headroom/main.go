@@ -20,13 +20,12 @@ import (
 func main() {
 	fmt.Println("extra per-frame service work vs throughput (6 cores @ 166 MHz, RMW)")
 	for _, extra := range []int{0, 25, 50, 100, 200, 400} {
-		cfg := core.RMWConfig()
-		prof := firmware.DefaultProfile(cfg.Ordering)
-		prof.ExtensionPerFrame = firmware.TaskCost{
+		nic := core.New(core.RMWConfig())
+		// The firmware reads its cost model as it builds each stream, so
+		// the extension takes effect from the run's first frame.
+		nic.FW.Prof.ExtensionPerFrame = firmware.TaskCost{
 			Instr: extra, Loads: extra / 6, Stores: extra / 10,
 		}
-		cfg.Profile = &prof
-		nic := core.New(cfg)
 		nic.AttachWorkload(1472, false)
 		r := nic.Run(900*sim.Microsecond, 600*sim.Microsecond)
 		fmt.Printf("  +%3d instr/frame: %6.2f Gb/s (%5.1f%% of line rate)\n",

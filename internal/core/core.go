@@ -25,11 +25,12 @@ import (
 
 // Config selects one controller build point: the axes the paper varies
 // (cores, clock, scratchpad banks, frame ordering, firmware organization)
-// plus the RSS, jumbo and cost-model extensions. The rest of the part is
-// fixed (see the constants below, mem.NewSDRAM, host.DefaultConfig and the
-// firmware's slot counts).
+// plus the RSS and jumbo extensions. The rest of the part is fixed (see the
+// constants below, mem.NewSDRAM, host.DefaultConfig and the firmware's slot
+// counts), and the firmware runs the calibrated cost model
+// (firmware.DefaultProfile).
 //
-//nic:hashstable ad685880c447
+//nic:hashstable 361272ef3890
 type Config struct {
 	Cores  int
 	CPUMHz float64
@@ -54,9 +55,6 @@ type Config struct {
 	// host-side delivery validation to the jumbo MTU. Off by default: the
 	// paper's controller is standard-MTU.
 	JumboFrames bool `json:",omitempty"`
-
-	// Profile overrides the firmware cost model when non-nil.
-	Profile *firmware.Profile
 }
 
 // The paper's fixed on-chip geometry: a 256 KB scratchpad, word-interleaved
@@ -210,10 +208,6 @@ func build(cfg Config, hcfg host.Config) *NIC {
 	}
 
 	prof := firmware.DefaultProfile(cfg.Ordering)
-	if cfg.Profile != nil {
-		prof = *cfg.Profile
-	}
-	prof.Ordering = cfg.Ordering
 	prof.Parallelism = cfg.Parallelism
 	// Buffer slots hold one maximum-sized frame plus the 12-byte descriptor
 	// header; a jumbo build widens the slots and the MAC's admission limit.

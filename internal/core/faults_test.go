@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/firmware"
 	"repro/internal/sim"
 )
 
@@ -162,9 +163,16 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero-cores", mutate(func(c *Config) { c.Cores = 0 })},
+		{"9-cores", mutate(func(c *Config) { c.Cores = 9 })},
+		{"24-cores", mutate(func(c *Config) { c.Cores = 24 })},
 		{"59-cores", mutate(func(c *Config) { c.Cores = 59 })},
 		{"61-cores", mutate(func(c *Config) { c.Cores = 61 })},
 		{"negative-mhz", mutate(func(c *Config) { c.CPUMHz = -1 })},
+		{"99.9-mhz", mutate(func(c *Config) { c.CPUMHz = 99.9 })},
+		{"800.1-mhz", mutate(func(c *Config) { c.CPUMHz = 800.1 })},
+		{"1e-300-mhz", mutate(func(c *Config) { c.CPUMHz = 1e-300 })},
+		{"1e6-mhz", mutate(func(c *Config) { c.CPUMHz = 1e6 })},
+		{"inf-mhz", mutate(func(c *Config) { c.CPUMHz = math.Inf(1) })},
 		{"zero-banks", mutate(func(c *Config) { c.ScratchpadBanks = 0 })},
 		{"64-banks", mutate(func(c *Config) { c.ScratchpadBanks = 64 })},
 		{"unaligned-scratchpad", mutate(func(c *Config) { c.ScratchpadBanks = 3 })},
@@ -180,12 +188,20 @@ func TestConfigValidate(t *testing.T) {
 			}
 		})
 	}
-	// The largest builds the hardware model holds run.
+	// The corners of the calibrated envelope run, in both orderings, long
+	// enough for the invariant checker's forward-progress watchdog (every
+	// 2^14 host cycles, ~123 µs) to fire.
+	corner := func(mhz float64, ord firmware.Ordering) Config {
+		return mutate(func(c *Config) { c.Cores, c.CPUMHz, c.Ordering = 8, mhz, ord })
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"58-cores", mutate(func(c *Config) { c.Cores = 58 })},
+		{"8-cores-100mhz-sw", corner(100, firmware.SoftwareOnly)},
+		{"8-cores-100mhz-rmw", corner(100, firmware.RMWEnhanced)},
+		{"8-cores-800mhz-sw", corner(800, firmware.SoftwareOnly)},
+		{"8-cores-800mhz-rmw", corner(800, firmware.RMWEnhanced)},
 		{"32-banks", mutate(func(c *Config) { c.ScratchpadBanks = 32 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,7 +210,7 @@ func TestConfigValidate(t *testing.T) {
 			}
 			n := New(tc.cfg)
 			n.AttachWorkload(1472, false)
-			if r := n.Run(0, 20*sim.Microsecond); r.InvariantViolations > 0 {
+			if r := n.Run(100*sim.Microsecond, 400*sim.Microsecond); r.InvariantViolations > 0 {
 				t.Errorf("%d invariant violations: %v", r.InvariantViolations, r.InvariantDetail)
 			}
 		})
@@ -218,8 +234,8 @@ func TestTakeoverRunDigest(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"sw-200", DefaultConfig(), "bf2aee88473e6b2f"},
-		{"rmw-166", RMWConfig(), "160c569e598519a7"},
+		{"sw-200", DefaultConfig(), "3fa4d2a49034bb9d"},
+		{"rmw-166", RMWConfig(), "50c9cd2589d7c3f1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := runWithPlan(t, tc.cfg, faults.Reference(200*sim.Microsecond))

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // JSON returns the canonical machine-readable encoding of a report. The
 // encoding is deterministic: the same configuration and seed produce
@@ -13,27 +9,4 @@ import (
 // internal/sweep).
 func (r Report) JSON() ([]byte, error) {
 	return json.Marshal(r)
-}
-
-// IndentJSON returns the canonical encoding, indented for humans.
-func (r Report) IndentJSON() ([]byte, error) {
-	b, err := r.JSON()
-	if err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, b, "", "  "); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// ReportFromJSON decodes a report previously encoded with Report.JSON.
-func ReportFromJSON(b []byte) (Report, error) {
-	var r Report
-	dec := json.NewDecoder(bytes.NewReader(b))
-	if err := dec.Decode(&r); err != nil {
-		return Report{}, fmt.Errorf("core: decode report: %w", err)
-	}
-	return r, nil
 }

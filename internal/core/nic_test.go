@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -145,6 +146,34 @@ func TestTaskParallelScalesWorse(t *testing.T) {
 	}
 	if rTP.TxOutOfOrder+rTP.RxOutOfOrder != 0 {
 		t.Error("task-parallel firmware violated ordering")
+	}
+}
+
+// TestExtensionPerFrameCostsThroughput drives the headroom study's route to
+// the cost model: extra per-frame work written into the built firmware's
+// profile before Run. A zero extension leaves the report byte-identical to a
+// plain RMW run, and +200 instructions per frame lowers throughput.
+func TestExtensionPerFrameCostsThroughput(t *testing.T) {
+	run := func(extra int) Report {
+		n := New(RMWConfig())
+		n.FW.Prof.ExtensionPerFrame = firmware.TaskCost{Instr: extra, Loads: extra / 6, Stores: extra / 10}
+		n.AttachWorkload(1472, false)
+		return n.Run(600*sim.Microsecond, 400*sim.Microsecond)
+	}
+	plain, err := runCfg(t, RMWConfig(), 1472, 600, 400).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := run(0)
+	zero, err := r0.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(zero, plain) {
+		t.Error("a zero extension changed the report of the plain RMW run")
+	}
+	if r200 := run(200); r200.TotalGbps >= r0.TotalGbps {
+		t.Errorf("+200 instr/frame: %.2f Gb/s, not below the plain run's %.2f Gb/s", r200.TotalGbps, r0.TotalGbps)
 	}
 }
 

@@ -2,19 +2,21 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/assist"
 	"repro/internal/firmware"
 )
 
-// Hardware-model limits on the configured counts. The CPU clock domain's
-// sleep masks hold 64 tickers: the cores, the four assists, the crossbar and
-// the instruction memory. The crossbar's masks hold 64 ports and 63 banks,
-// and the banks must word-interleave the fixed scratchpad, so they are a
-// power of two.
+// The envelope the model is calibrated for. The frame-parallel firmware's
+// reentrancy charge (firmware.Profile's SyncOrder and SyncLock costs, per
+// extra active core) is fitted to Figure 7's 1 to 8 cores at 100 to 800 MHz;
+// past it a result would extrapolate the fit. The crossbar's masks hold 63
+// banks, and the banks must word-interleave the fixed scratchpad, so they are
+// a power of two.
 const (
-	maxCores = 64 - 4 - 2
+	maxCores = 8
+	minMHz   = 100
+	maxMHz   = 800
 	maxBanks = 32
 )
 
@@ -23,10 +25,10 @@ const (
 // should Validate first and turn errors into clean exits.
 func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > maxCores {
-		return fmt.Errorf("cores must be 1 to %d, got %d", maxCores, c.Cores)
+		return fmt.Errorf("cores must be 1 to %d, got %d (the reentrancy charge is calibrated on Figure 7's 1–%d cores)", maxCores, c.Cores, maxCores)
 	}
-	if !(c.CPUMHz > 0) || math.IsInf(c.CPUMHz, 0) {
-		return fmt.Errorf("CPU clock must be a positive, finite frequency, got %g MHz", c.CPUMHz)
+	if !(c.CPUMHz >= minMHz && c.CPUMHz <= maxMHz) {
+		return fmt.Errorf("CPU clock must be %d to %d MHz, got %g MHz (the reentrancy charge is calibrated on Figure 7's %d–%d MHz)", minMHz, maxMHz, c.CPUMHz, minMHz, maxMHz)
 	}
 	if c.ScratchpadBanks <= 0 || c.ScratchpadBanks > maxBanks {
 		return fmt.Errorf("scratchpad banks must be 1 to %d, got %d", maxBanks, c.ScratchpadBanks)

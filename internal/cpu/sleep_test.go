@@ -12,12 +12,8 @@ import (
 
 // sleepRig is one side of a differential pair: cores, the crossbar and the
 // instruction memory in one 166 MHz domain, registered in production order.
-// A rig of many cores stands four idle sleepers in for the assists between
-// the cores and the crossbar, as core.New registers them, so at 60 cores the
-// crossbar and the instruction memory are the domain's 65th and 66th
-// tickers, past those that can sleep. With sleep false every ticker hides
-// behind a plain TickFunc, which hides sim.Sleeper, so the domain ticks every
-// ticker on every edge.
+// With sleep false every ticker hides behind a plain TickFunc, which hides
+// sim.Sleeper, so the domain ticks every ticker on every edge.
 type sleepRig struct {
 	e     *sim.Engine
 	d     *sim.Domain
@@ -78,24 +74,11 @@ func newSleepRig(sleep bool, cores, gated int, alias bool, seed int64) *sleepRig
 		}
 		add(c)
 	}
-	if cores > 3 {
-		for i := 0; i < 4; i++ {
-			add(idle{})
-		}
-	}
 	add(r.xbar)
 	add(r.imem)
 	r.e.AddDomain(r.d)
 	return r
 }
-
-// idle is a ticker that sleeps for good, as an assist without work does.
-type idle struct{}
-
-func (idle) Tick(uint64)    {}
-func (idle) Sleep() uint64  { return sim.UntilWoken }
-func (idle) Skip(uint64)    {}
-func (idle) SetWake(func()) {}
 
 func (r *sleepRig) logf(core int, what string) {
 	fmt.Fprintf(&r.log, "%d c%d %s\n", r.e.Now(), core, what)
@@ -272,11 +255,6 @@ func TestCoresSleepLikeTickedRun(t *testing.T) {
 		{"gated-core", 3, 1, false, false},
 		{"preempted", 3, -1, true, false},
 		{"aliasing-code", 3, -1, false, true},
-		// The controller's largest CPU domain: the cores and four idle
-		// assists fill it up to the crossbar and the instruction memory,
-		// which take the last of its 64 sleep slots and wake the cores
-		// from there.
-		{"58-cores", 58, -1, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {

@@ -66,11 +66,6 @@ func WireBits(frameBytes int) int {
 	return (frameBytes + PreambleBytes + InterframeGapBytes) * 8
 }
 
-// WireSeconds returns the wire occupancy of one frame in seconds at 10 Gb/s.
-func WireSeconds(frameBytes int) float64 {
-	return float64(WireBits(frameBytes)) / LinkBitsPerSec
-}
-
 // FramesPerSecond returns the maximum unidirectional frame rate for
 // back-to-back frames of the given size.
 func FramesPerSecond(frameBytes int) float64 {

@@ -213,15 +213,3 @@ func PrintRobustness(w io.Writer, results []sweep.Result) error {
 	}
 	return nil
 }
-
-// RobustnessViolations sums SLO violations across robustness results —
-// nonzero means an objective failed and the run should exit nonzero.
-func RobustnessViolations(results []sweep.Result) uint64 {
-	var n uint64
-	for _, r := range results {
-		if r.Report != nil && r.Report.SLO != nil {
-			n += r.Report.SLO.Violations
-		}
-	}
-	return n
-}

@@ -78,19 +78,3 @@ func PrintRSS(w io.Writer, results []sweep.Result) error {
 	}
 	return nil
 }
-
-// RSSOrderingViolations sums per-queue out-of-order deliveries across RSS
-// results — nonzero breaks the per-queue ordering invariant and the run
-// should exit nonzero.
-func RSSOrderingViolations(results []sweep.Result) uint64 {
-	var n uint64
-	for _, r := range results {
-		if r.Report == nil || r.Report.RSS == nil {
-			continue
-		}
-		for _, q := range r.Report.RSS.PerQueue {
-			n += q.OutOfOrder
-		}
-	}
-	return n
-}

@@ -240,13 +240,10 @@ type Firmware struct {
 
 // New wires a firmware instance to the memory system, host, and assists,
 // and installs its callbacks on the assists. slotBytes sizes the SDRAM frame
-// buffer slots; zero means the standard 1530 bytes (a maximum frame plus
+// buffer slots: the standard build passes 1530 bytes (a maximum frame plus
 // slack, deliberately not 8-byte aligned), and jumbo-enabled builds pass a
 // slot large enough for a jumbo frame.
 func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores int, slotBytes uint32) *Firmware {
-	if slotBytes == 0 {
-		slotBytes = 1530
-	}
 	fw := &Firmware{
 		Prof:      prof,
 		sp:        sp,

@@ -39,7 +39,7 @@ func newRig(nCores int) *rig {
 		MACRx:    assist.NewMACRx(port(3), sdram, 3, PtrMACRx),
 	}
 	as.MACRx.Queues = 1
-	fw := New(DefaultProfile(RMWEnhanced), sp, hst, as, nCores, 0)
+	fw := New(DefaultProfile(RMWEnhanced), sp, hst, as, nCores, 1530)
 	hst.Source = &workload.Sender{G: workload.NewGenerator(1472, false)}
 	as.MACRx.Source = &workload.Arrivals{G: workload.NewGenerator(1472, false)}
 

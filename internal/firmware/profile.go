@@ -293,9 +293,8 @@ const (
 	FramesPerSendBD = SendBDsPerBatch / 2
 )
 
-// DefaultProfile returns the calibrated firmware cost model. overhead scales
-// the parallelization-overhead costs; 1.0 reproduces the paper's six-core
-// 200 MHz software-only operating point.
+// DefaultProfile returns the calibrated firmware cost model for the given
+// frame ordering: the one every core.Config build runs.
 func DefaultProfile(ord Ordering) Profile {
 	p := Profile{
 		// Ideal send path: 282 instructions, 100 accesses per frame.

@@ -252,9 +252,6 @@ func (fw *Firmware) ProgressSignature() [8]uint64 {
 // RecvSeq returns the number of frames the MAC has handed to firmware.
 func (fw *Firmware) RecvSeq() uint64 { return fw.recvSeq }
 
-// SendSeq returns the number of frames admitted by send-BD fetches.
-func (fw *Firmware) SendSeq() uint64 { return fw.sendSeq }
-
 // SabotageLeak deliberately corrupts the firmware by dropping one frame from
 // an intake queue without any bookkeeping: the frame's ring entry and audit
 // accounting are left dangling. Used only to prove the invariant checker

@@ -314,6 +314,25 @@ func TestSleepersMatchTickedRun(t *testing.T) {
 				ev.Schedule(i*(i%7+1)*23*Nanosecond+i%5*1000, j.submit)
 			}
 		}, long, false},
+		// A domain full of sleepers: its 64 slots use every bit of the
+		// masks, bit 63 included. A producer in another domain spreads
+		// submissions over them; the last sleeper's completions wake the
+		// first, and the second's wake the last.
+		{"64-sleepers", func(r *diffRig) {
+			p := r.domain("cpu", 200e6)
+			s := r.domain("sdram", 500e6)
+			for i := 0; i < maxTickers; i++ {
+				r.job(s, i%5+1, i%7+2)
+			}
+			jobs := r.jobs
+			jobs[maxTickers-1].onDone = jobs[0].submit
+			jobs[1].onDone = jobs[maxTickers-1].submit
+			p.Add(TickFunc(func(cycle uint64) {
+				if m := mix(cycle); m%7 == 0 {
+					jobs[m/7%maxTickers].submit()
+				}
+			}))
+		}, long, false},
 		// Deadlines that land on edges only the sleeping 2000 ps domain has
 		// (4000 ps is no 5000 ps edge), off every edge, and on shared edges,
 		// run back to back.

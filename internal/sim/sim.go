@@ -126,7 +126,6 @@ const NoEdge = Picoseconds(1<<64 - 1)
 type Domain struct {
 	name   string
 	period Picoseconds
-	hz     float64
 	next   Picoseconds // the instant the engine next processes the domain
 	edge   Picoseconds // clocked: earliest edge the domain has not processed
 	cycle  uint64      // clocked: the cycle number of edge
@@ -187,7 +186,7 @@ func NewDomain(name string, hz float64) *Domain {
 	if period == 0 {
 		period = 1
 	}
-	return &Domain{name: name, period: period, hz: hz, ahead: uint64(1<<62) / uint64(period), soonest: UntilWoken}
+	return &Domain{name: name, period: period, ahead: uint64(1<<62) / uint64(period), soonest: UntilWoken}
 }
 
 // NewEventDomain creates an event-driven domain: instead of a fixed clock it
@@ -282,9 +281,6 @@ func (d *Domain) runEvents(now Picoseconds) {
 
 // Name returns the domain's name.
 func (d *Domain) Name() string { return d.name }
-
-// Hz returns the nominal frequency the domain was created with.
-func (d *Domain) Hz() float64 { return d.hz }
 
 // Period returns the integer-picosecond clock period.
 func (d *Domain) Period() Picoseconds { return d.period }

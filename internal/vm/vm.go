@@ -69,9 +69,6 @@ func (c *CPU) Load(p *asm.Program) error {
 	return nil
 }
 
-// Halted reports whether the CPU has executed a break.
-func (c *CPU) Halted() bool { return c.halted }
-
 // Jump redirects execution to addr, clearing any halt. Measurement harnesses
 // use it to call routines repeatedly on one machine state.
 func (c *CPU) Jump(addr uint32) error {
