@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/assist"
 	"repro/internal/faults"
+	"repro/internal/firmware"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -44,57 +45,72 @@ func TestSingleQueueCollapsesToSeedPath(t *testing.T) {
 // bursty multi-flow load with the reference fault plan armed. Per-queue
 // in-order delivery is the invariant RSS must preserve even while faults
 // stall and recover the pipeline; cross-queue reordering is the relaxation
-// the design accepts and reports.
+// the design accepts and reports. The default build runs with 4 queues, and
+// 6×166 MHz RMW with 8, the highest ordering-ring index under the atomic
+// set and update instructions.
 func TestPerQueueOrderingUnderBurstWithFaults(t *testing.T) {
-	for _, steering := range assist.SteeringNames {
-		t.Run(steering, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.RxQueues = 4
-			cfg.Steering = steering
-			n := New(cfg)
-			ts := workload.TrafficSpec{Class: workload.ClassUniform, Arrival: workload.ArrivalBurst, Seed: 1, Flows: 64}
-			if err := n.AttachTraffic(1472, ts, true); err != nil {
-				t.Fatalf("AttachTraffic: %v", err)
-			}
-			if err := n.AttachFaults(faults.Reference(200 * sim.Microsecond)); err != nil {
-				t.Fatalf("AttachFaults: %v", err)
-			}
-			rep := n.Run(200*sim.Microsecond, 300*sim.Microsecond)
-			if rep.RxOutOfOrder != 0 {
-				t.Errorf("per-queue order violated %d times", rep.RxOutOfOrder)
-			}
-			if rep.InvariantViolations != 0 {
-				t.Errorf("invariant violations: %d", rep.InvariantViolations)
-			}
-			if rep.RxCorrupt != 0 {
-				t.Errorf("corrupt deliveries: %d", rep.RxCorrupt)
-			}
-			if rep.RSS == nil {
-				t.Fatal("multi-queue report has no rss section")
-			}
-			if rep.RSS.Queues != 4 || rep.RSS.Steering != steering {
-				t.Errorf("rss section reports %d queues steering %q, want 4 %q",
-					rep.RSS.Queues, rep.RSS.Steering, steering)
-			}
-			var frames, ooo uint64
-			active := 0
-			for _, q := range rep.RSS.PerQueue {
-				frames += q.Frames
-				ooo += q.OutOfOrder
-				if q.Frames > 0 {
-					active++
+	rmw := DefaultConfig()
+	rmw.CPUMHz, rmw.Ordering = 166, firmware.RMWEnhanced
+	cases := []struct {
+		prefix    string
+		base      Config
+		queues    int
+		minActive int
+	}{
+		{"", DefaultConfig(), 4, 2},
+		{"rmw166-8q-", rmw, 8, 8},
+	}
+	for _, c := range cases {
+		for _, steering := range assist.SteeringNames {
+			t.Run(c.prefix+steering, func(t *testing.T) {
+				cfg := c.base
+				cfg.RxQueues = c.queues
+				cfg.Steering = steering
+				n := New(cfg)
+				ts := workload.TrafficSpec{Class: workload.ClassUniform, Arrival: workload.ArrivalBurst, Seed: 1, Flows: 64}
+				if err := n.AttachTraffic(1472, ts, true); err != nil {
+					t.Fatalf("AttachTraffic: %v", err)
 				}
-			}
-			if got := float64(frames) / rep.Seconds; got < rep.RxFPS*0.999 || got > rep.RxFPS*1.001 {
-				t.Errorf("per-queue frames sum %d (%.0f fps) disagrees with delivered rate %.0f fps", frames, got, rep.RxFPS)
-			}
-			if ooo != 0 {
-				t.Errorf("per-queue ooo sum %d", ooo)
-			}
-			if active < 2 {
-				t.Errorf("only %d of 4 queues received frames under a 64-flow load", active)
-			}
-		})
+				if err := n.AttachFaults(faults.Reference(200 * sim.Microsecond)); err != nil {
+					t.Fatalf("AttachFaults: %v", err)
+				}
+				rep := n.Run(200*sim.Microsecond, 300*sim.Microsecond)
+				if rep.RxOutOfOrder != 0 {
+					t.Errorf("per-queue order violated %d times", rep.RxOutOfOrder)
+				}
+				if rep.InvariantViolations != 0 {
+					t.Errorf("invariant violations: %d", rep.InvariantViolations)
+				}
+				if rep.RxCorrupt != 0 {
+					t.Errorf("corrupt deliveries: %d", rep.RxCorrupt)
+				}
+				if rep.RSS == nil {
+					t.Fatal("multi-queue report has no rss section")
+				}
+				if rep.RSS.Queues != c.queues || rep.RSS.Steering != steering {
+					t.Errorf("rss section reports %d queues steering %q, want %d %q",
+						rep.RSS.Queues, rep.RSS.Steering, c.queues, steering)
+				}
+				var frames, ooo uint64
+				active := 0
+				for _, q := range rep.RSS.PerQueue {
+					frames += q.Frames
+					ooo += q.OutOfOrder
+					if q.Frames > 0 {
+						active++
+					}
+				}
+				if got := float64(frames) / rep.Seconds; got < rep.RxFPS*0.999 || got > rep.RxFPS*1.001 {
+					t.Errorf("per-queue frames sum %d (%.0f fps) disagrees with delivered rate %.0f fps", frames, got, rep.RxFPS)
+				}
+				if ooo != 0 {
+					t.Errorf("per-queue ooo sum %d", ooo)
+				}
+				if active < c.minActive {
+					t.Errorf("only %d of %d queues received frames under a 64-flow load, want at least %d", active, c.queues, c.minActive)
+				}
+			})
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // closures: every pending action is a uint32 record, its kind in the top
 // byte and an operand below, which Complete dispatches with a switch. An
 // operand names the frame or batch the action applies to: a send-ring index
-// (the frame's sequence number modulo FlagBits), a receive queue with a
-// ring index, a batch record, a recovery token.
+// (the frame's position modulo FlagBits), an ordering ring (Firmware.rings)
+// with a flag position or frame count, a batch record, a recovery token.
 const (
 	// Op completions: the functional effect of a stream's op.
 	doneFetchSendBD  = iota + 1 // batch: issue the send-BD fetch
@@ -21,23 +21,19 @@ const (
 	doneFetchRecvBD             // batch: issue the receive-BD fetch
 	doneRecvPrep                // batch: issue frame and descriptor writes
 	doneRecvComplete            // batch: free receive buffers
-	doneSetSend                 // send-ring index: set the status flag
-	doneSetRecv                 // queue and ring index: set the status flag
-	doneCommitSend              // frame count: software commit scan
-	doneCommitRecv              // queue and frame count
-	doneUpdateSend              // atomic update commit
-	doneUpdateRecv              // queue
+	doneSet                     // ring and flag position: set the status flag
+	doneCommit                  // ring and frame count: software commit scan
+	doneUpdate                  // ring: atomic update commit
 
 	// Stream completions; the operand may carry a release (withRelease).
-	doneEndCommitSend // clear the send commit claim
-	doneEndCommitRecv // queue: clear its commit claim
-	doneEnd           // nothing but the release
+	doneEndCommit // ring: clear its commit claim
+	doneEnd       // nothing but the release
 
 	// DMA notes: the engine finished a transfer.
 	noteSendBDs   // batch: admit the fetched send descriptors
 	noteSendFrame // send-ring index: the frame is in the transmit buffer
 	noteRecvBDs   // batch: credit the fetched receive descriptors
-	noteRecvDesc  // queue and ring index: the frame is with the host
+	noteRecvDesc  // ring and flag position: the frame is with the host
 	noteToken     // recovery token id: deduplicate, then the token's note
 )
 
@@ -45,18 +41,16 @@ const (
 	argBits = 24
 	argMask = 1<<argBits - 1
 	// releaseShift places a task-parallel release in a stream completion's
-	// operand: the event group plus one, above any queue number.
+	// operand: the event group plus one, above any ring index.
 	releaseShift = 20
-	// queueShift places a receive queue above a ring index or frame count
-	// (both at most FlagBits).
+	// queueShift places a ring index above a flag position or frame count
+	// (both at most FlagBits); ringMask extracts it.
 	queueShift = 13
+	ringMask   = 1<<(releaseShift-queueShift) - 1
 )
 
 // rec builds a completion record.
 func rec(kind, arg uint32) uint32 { return kind<<argBits | arg }
-
-// qarg packs a receive queue with a ring index or count.
-func qarg(q int, v uint64) uint32 { return uint32(q)<<queueShift | uint32(v) }
 
 // withRelease adds a task-parallel release of event group g to a stream
 // completion record.
@@ -67,31 +61,31 @@ func withRelease(done uint32, g evType) uint32 { return done | uint32(g+1)<<rele
 //nic:hotpath
 func (fw *Firmware) Complete(done uint32) {
 	arg := done & argMask
-	q := int(arg >> queueShift & (MaxRxQueues - 1))
+	ring := int(arg >> queueShift & ringMask)
 	low := uint64(arg & (1<<queueShift - 1))
 	switch done >> argBits {
 	case doneFetchSendBD:
 		fw.dma(rec(noteSendBDs, arg))
 	case doneSendPrep:
 		b := &fw.batches[arg]
-		fw.txReserved -= len(b.send)
-		fw.claimedSend -= len(b.send)
-		for _, fr := range b.send {
-			addr, slot, ok := fw.txRing.alloc()
+		fw.txReserved -= len(b.frames)
+		fw.claimedSend -= len(b.frames)
+		for _, fr := range b.frames {
+			addr, ok := fw.txRing.alloc()
 			if !ok {
 				panic("firmware: tx ring underflow despite reservation")
 			}
-			fr.buf, fr.slot = addr, slot
+			fr.buf = addr
 			fw.dmaOutSend++
-			fw.dma(rec(noteSendFrame, uint32(fr.idx%FlagBits)))
+			fw.dma(rec(noteSendFrame, uint32(fr.pos%FlagBits)))
 			fw.Obs.FrameStage(obs.Send, obs.SendDMAStart, fr.idx)
 		}
 		fw.freeBatch(arg)
 	case doneSendComplete:
 		b := &fw.batches[arg]
-		n := len(b.send)
-		for _, fr := range b.send {
-			fw.txRing.release(fr.slot)
+		n := len(b.frames)
+		for _, fr := range b.frames {
+			fw.txRing.release(fr.buf)
 			fw.Obs.FrameStage(obs.Send, obs.SendNotified, fr.idx)
 			fw.sendFree.Put(fr)
 		}
@@ -101,47 +95,40 @@ func (fw *Firmware) Complete(done uint32) {
 		fw.dma(rec(noteRecvBDs, arg))
 	case doneRecvPrep:
 		b := &fw.batches[arg]
-		fw.claimedRecv -= len(b.recv)
-		for _, fr := range b.recv {
+		r := &fw.rxq[b.q].orderRing
+		fw.claimedRecv -= len(b.frames)
+		for _, fr := range b.frames {
 			fw.dmaOutRecv++
-			fw.as.DMAWrite.WriteFrame(fr.buf, fr.size, 0)
-			fw.dma(rec(noteRecvDesc, qarg(fr.q, fr.qidx%uint64(fw.rxq[fr.q].flagBits))))
+			fw.as.DMAWrite.WriteFrame(fr.buf, int(fr.size), 0)
+			fw.dma(rec(noteRecvDesc, r.arg(fr.pos%r.bits)))
 			fw.Obs.FrameStage(obs.Recv, obs.RecvDMAStart, fr.idx)
 		}
 		fw.freeBatch(arg)
 	case doneRecvComplete:
-		for _, fr := range fw.batches[arg].recv {
-			fw.rxRing.release(fr.slot)
+		for _, fr := range fw.batches[arg].frames {
+			fw.rxRing.release(fr.buf)
 			fw.recvFree.Put(fr)
 		}
 		fw.freeBatch(arg)
-	case doneSetSend:
-		fw.sendFlags.Set(int(arg))
-		fw.sendSet++
-		fw.ordPendSend--
-		fw.Obs.FrameStage(obs.Send, obs.SendFlagSet, fw.sendRing[arg].idx)
-	case doneSetRecv:
-		rq := fw.rxq[q]
-		rq.flags.Set(int(low))
-		rq.set++
-		fw.ordPendRecv--
-		fw.Obs.FrameStage(obs.Recv, obs.RecvFlagSet, rq.ring[low].idx)
-	case doneCommitSend:
-		fw.commit(true, nil, int(arg))
-	case doneCommitRecv:
-		fw.commit(false, fw.rxq[q], int(low))
-	case doneUpdateSend:
-		_, k := fw.sendFlags.Update()
-		fw.commitCleared(true, nil, k)
-	case doneUpdateRecv:
-		_, k := fw.rxq[q].flags.Update()
-		fw.commitCleared(false, fw.rxq[q], k)
-	case doneEndCommitSend, doneEndCommitRecv, doneEnd:
-		switch done >> argBits {
-		case doneEndCommitSend:
-			fw.sendCommitClaim = false
-		case doneEndCommitRecv:
-			fw.rxq[q].commitClaim = false
+	case doneSet:
+		r := fw.rings[ring]
+		r.flags.Set(int(low))
+		r.set++
+		r.pend--
+		if r.q < 0 {
+			fw.Obs.FrameStage(obs.Send, obs.SendFlagSet, r.frames[low].idx)
+		} else {
+			fw.Obs.FrameStage(obs.Recv, obs.RecvFlagSet, r.frames[low].idx)
+		}
+	case doneCommit:
+		fw.commit(fw.rings[ring], int(low))
+	case doneUpdate:
+		r := fw.rings[ring]
+		_, k := r.flags.Update()
+		fw.commitCleared(r, k)
+	case doneEndCommit, doneEnd:
+		if done>>argBits == doneEndCommit {
+			fw.rings[ring].commitClaim = false
 		}
 		if g := arg >> releaseShift; g != 0 {
 			fw.typeBusy[g-1] = false
@@ -150,16 +137,16 @@ func (fw *Firmware) Complete(done uint32) {
 		bds := fw.hst.TakeSendBDs(fw.batches[arg].n)
 		for i := 0; i+1 < len(bds); i += 2 {
 			fr := fw.sendFree.Get()
-			fr.f, fr.idx = bds[i].Frame, fw.sendSeq
-			fw.sendSeq++
-			fw.sendRing[fr.idx%FlagBits] = fr
+			fr.f = bds[i].Frame
+			fw.send.admit(fr)
+			fr.idx = fr.pos
 			fw.prepQ.Push(fr)
 			fw.Obs.FrameStage(obs.Send, obs.SendBDFetched, fr.idx)
 		}
 		fw.bdFetchOut--
 		fw.freeBatch(arg)
 	case noteSendFrame:
-		fr := fw.sendRing[arg]
+		fr := fw.send.frames[arg]
 		fw.dmaOutSend--
 		fw.sendDMADone.Push(fr)
 		fw.Obs.FrameStage(obs.Send, obs.SendDMADone, fr.idx)
@@ -170,10 +157,10 @@ func (fw *Firmware) Complete(done uint32) {
 		rq.bdFetchOut--
 		fw.freeBatch(arg)
 	case noteRecvDesc:
-		rq := fw.rxq[q]
-		fr := rq.ring[low]
+		r := fw.rings[ring]
+		fr := r.frames[low]
 		fw.dmaOutRecv--
-		rq.dmaDone.Push(fr)
+		fw.rxq[r.q].dmaDone.Push(fr)
 		fw.Obs.FrameStage(obs.Recv, obs.RecvDMADone, fr.idx)
 	case noteToken:
 		fw.rec.complete(fw, arg)
@@ -210,23 +197,22 @@ func (fw *Firmware) issue(note, tag uint32) {
 		b := &fw.batches[arg]
 		fw.as.DMARead.FetchBDs(b.n*RecvBDWords, b.base, tag)
 	case noteSendFrame:
-		fr := fw.sendRing[arg]
+		fr := fw.send.frames[arg]
 		fw.as.DMARead.FetchFrame(fr.buf, host.HeaderBytes, fr.f.Size-host.HeaderBytes, tag)
 	case noteRecvDesc:
-		fr := fw.rxq[arg>>queueShift].ring[arg&(1<<queueShift-1)]
+		fr := fw.rings[arg>>queueShift].frames[arg&(1<<queueShift-1)]
 		fw.as.DMAWrite.WriteDescriptor(RegionRecvDesc+desc(fr.idx, DescDMA), RecvBDWords, tag)
 	}
 }
 
 // batch is the record of a claimed event whose completion is still to come:
-// the frames it took, or a descriptor fetch's queue, size and address. The
-// frame slices keep their capacity across uses.
+// the frames it took (with their receive queue), or a descriptor fetch's
+// queue, size and address. The frame slice keeps its capacity across uses.
 type batch struct {
-	q    int
-	n    int
-	base uint32
-	send []*sendFrame
-	recv []*recvFrame
+	q      int
+	n      int
+	base   uint32
+	frames []*frame
 }
 
 // newBatch returns the index of a cleared batch record.
@@ -247,8 +233,7 @@ func (fw *Firmware) newBatch() uint32 {
 //nic:hotpath
 func (fw *Firmware) freeBatch(i uint32) {
 	b := &fw.batches[i]
-	clear(b.send)
-	clear(b.recv)
-	*b = batch{send: b.send[:0], recv: b.recv[:0]}
+	clear(b.frames)
+	*b = batch{frames: b.frames[:0]}
 	fw.freeBatches = append(fw.freeBatches, i) //nic:alloc grows to the peak outstanding
 }

@@ -78,62 +78,96 @@ func newSlotRing(base uint32, slotSize uint32, slots int) *slotRing {
 	return r
 }
 
-func (r *slotRing) alloc() (addr uint32, slot int, ok bool) {
+func (r *slotRing) alloc() (addr uint32, ok bool) {
 	if len(r.free) == 0 {
-		return 0, 0, false
+		return 0, false
 	}
-	slot = r.free[len(r.free)-1]
+	slot := r.free[len(r.free)-1]
 	r.free = r.free[:len(r.free)-1]
-	return r.base + uint32(slot)*r.slotSize, slot, true
+	return r.base + uint32(slot)*r.slotSize, true
 }
 
-func (r *slotRing) release(slot int) { r.free = append(r.free, slot) }
+// release frees the slot at addr.
+func (r *slotRing) release(addr uint32) { r.free = append(r.free, int((addr-r.base)/r.slotSize)) }
 
 func (r *slotRing) available() int { return len(r.free) }
 
-// sendFrame is the firmware's record of one frame in the send pipeline,
-// from its descriptor fetch to its transmit completion. f is the host's
-// frame until the MAC has transmitted it.
-type sendFrame struct {
+// frame is the firmware's record of one frame in either pipeline: a sent
+// frame from its descriptor fetch to its transmit completion, a received one
+// from its arrival in SDRAM to the release of its buffer. f is the host's
+// frame until the MAC has transmitted it or the host has taken delivery.
+// Its ring, and its receive queue, are known from where it is held.
+type frame struct {
 	f    *host.Frame
-	idx  uint64
+	idx  uint64 // direction-wide index (observation, descriptor addressing)
+	pos  uint64 // position on its ordering ring (status flag and ring slot)
 	buf  uint32
-	slot int
+	size int32 // received length; a sent frame's is f.Size
 }
 
-// recvFrame is the firmware's record of one received frame, from its arrival
-// in SDRAM to the release of its buffer. f is the frame until it is
-// delivered to the host.
-type recvFrame struct {
-	f    *host.Frame
-	idx  uint64 // global arrival index (observation, descriptor addressing)
-	q    int    // RSS queue the MAC steered the frame to
-	qidx uint64 // per-queue index (status flag and ring position)
-	buf  uint32
-	slot int
-	size int
+// orderRing is one in-order commit point, the paper's ordering mechanism:
+// a status-flag array whose bits frames set as they finish, and a commit
+// head from which consecutive set flags are cleared and their frames handed
+// on in order — by a lock-protected software scan, or by the atomic set and
+// update instructions. The send path has one, and so does each receive
+// queue, whose frames are ordered only among themselves.
+type orderRing struct {
+	q        int // receive queue, or -1 for the send path
+	flagBase uint32
+	bits     uint64
+	flags    *mem.BitArray
+
+	frames      []*frame // by position modulo bits
+	seq         uint64   // frames admitted (the next frame's position)
+	set         uint64   // flags set
+	commitHead  uint64
+	commitClaim bool
+	pend        int // flag sets claimed, not yet done
+
+	// What differs by direction: the ordering lock, the pool or notify lock
+	// the reentrancy charge's lock rounds take, the hardware pointer a commit
+	// publishes, the attribution bucket, and the reentrancy charges.
+	ordLock, poolLock, hwPtr uint32
+	acct                     int
+	syncOrder, syncLock      *TaskCost
+}
+
+// init places the ring's flag array of bits flags at base.
+func (r *orderRing) init(sp *mem.Scratchpad, base uint32, bits int) {
+	r.flagBase, r.bits = base, uint64(bits)
+	r.flags = mem.NewBitArray(sp, base, bits)
+	r.frames = make([]*frame, bits)
+}
+
+// index is the ring's position in Firmware.rings.
+func (r *orderRing) index() int { return r.q + 1 }
+
+// arg packs the ring's index with a flag position or frame count into a
+// completion operand.
+func (r *orderRing) arg(v uint64) uint32 { return uint32(r.index())<<queueShift | uint32(v) }
+
+// word returns the address of the flag word holding position k.
+func (r *orderRing) word(k uint64) uint32 { return r.flagBase + uint32(k%r.bits/32)*4 }
+
+// admit gives fr the ring's next position.
+func (r *orderRing) admit(fr *frame) {
+	fr.pos = r.seq
+	r.frames[r.seq%r.bits] = fr
+	r.seq++
 }
 
 // rxQueue is one receive queue's independent pipeline: its own arrival and
-// completion queues, BD credit, status-flag subarray, and in-order commit
-// head. A single-queue build has exactly one, whose flag array is the whole
-// legacy FlagsRecv region — the seed pipeline, address for address.
+// completion queues, BD credit, and ordering ring. A single-queue build has
+// exactly one, whose flag array is the whole legacy FlagsRecv region — the
+// seed pipeline, address for address.
 type rxQueue struct {
-	q        int
-	seq      uint64 // frames steered here so far (the next frame's qidx)
-	flagBits int
-	flagBase uint32
-	flags    *mem.BitArray
+	orderRing
 
-	arrivedQ    fifo.Queue[*recvFrame]
-	bdCredit    int
-	bdFetchOut  int
-	dmaDone     fifo.Queue[*recvFrame]
-	ring        []*recvFrame
-	set         uint64
-	commitHead  uint64
-	commitClaim bool
-	doneQ       fifo.Queue[*recvFrame]
+	arrivedQ   fifo.Queue[*frame]
+	bdCredit   int
+	bdFetchOut int
+	dmaDone    fifo.Queue[*frame]
+	doneQ      fifo.Queue[*frame]
 }
 
 // bdEntries is the queue's share of the RegionRecvBD descriptor ring.
@@ -154,22 +188,16 @@ type Firmware struct {
 	hst  *host.Host
 	as   Assists
 
-	sendFlags *mem.BitArray
-
 	txRing *slotRing
 	rxRing *slotRing
 
 	// Send pipeline.
-	sendSeq         uint64
-	bdFetchOut      int
-	txReserved      int
-	prepQ           fifo.Queue[*sendFrame]
-	sendDMADone     fifo.Queue[*sendFrame]
-	sendRing        []*sendFrame
-	sendSet         uint64 // flags set
-	sendCommitHead  uint64
-	sendCommitClaim bool
-	txDoneQ         fifo.Queue[*sendFrame]
+	bdFetchOut  int
+	txReserved  int
+	prepQ       fifo.Queue[*frame]
+	sendDMADone fifo.Queue[*frame]
+	send        orderRing
+	txDoneQ     fifo.Queue[*frame]
 
 	// Receive pipeline: a global arrival counter (frame identity for
 	// observation and conservation audits) plus one independent rxQueue per
@@ -179,17 +207,19 @@ type Firmware struct {
 	// Rotating queue cursors, one per receive claim kind, so multi-queue
 	// claims visit queues fairly without any shared scan order.
 	rxqCur [5]int
+	// rings holds every ordering ring: the send ring, then each receive
+	// queue's. Completion records name a ring by its index here.
+	rings []*orderRing
 
 	// Pipeline audit counters: frames in the claim→effect windows that the
-	// queues above do not cover. Together with the queues they account for
-	// every in-flight frame, making the run invariants' conservation audit
-	// exact at any instant (all transitions happen within single callbacks).
+	// queues and rings above do not cover. Together with them they account
+	// for every in-flight frame, making the run invariants' conservation
+	// audit exact at any instant (all transitions happen within single
+	// callbacks).
 	claimedSend int // popped from prepQ, frame DMA not yet programmed
 	claimedRecv int // popped from rxArrivedQ, descriptor DMA not yet programmed
 	dmaOutSend  int // frame-fetch DMAs in flight
 	dmaOutRecv  int // descriptor-write DMAs in flight
-	ordPendSend int // popped from sendDMADone, status flag not yet set
-	ordPendRecv int // popped from rxDMADone, status flag not yet set
 
 	// Fault recovery (nil when no fault plan is attached).
 	rec *recovery
@@ -209,14 +239,14 @@ type Firmware struct {
 	handed []*cpu.Stream
 	pool   streamPool
 
-	// Free lists of the per-frame records and of batch records (see
-	// completion.go), and the frame batch a claim builds its stream from.
-	sendFree    fifo.Free[sendFrame]
-	recvFree    fifo.Free[recvFrame]
+	// Free lists of the per-frame records, one per direction, and of batch
+	// records (see completion.go), and the frame batch a claim builds its
+	// stream from.
+	sendFree    fifo.Free[frame]
+	recvFree    fifo.Free[frame]
 	batches     []batch
 	freeBatches []uint32
-	scratchSend []*sendFrame
-	scratchRecv []*recvFrame
+	scratch     []*frame
 
 	// Task-parallel event register: one core per event type.
 	typeBusy [numEvTypes]bool
@@ -245,53 +275,45 @@ type Firmware struct {
 // slot large enough for a jumbo frame.
 func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores int, slotBytes uint32) *Firmware {
 	fw := &Firmware{
-		Prof:      prof,
-		sp:        sp,
-		hst:       hst,
-		as:        as,
-		sendFlags: mem.NewBitArray(sp, FlagsSend, FlagBits),
-		txRing:    newSlotRing(0x000000, slotBytes, txSlots),
-		rxRing:    newSlotRing(0x800000, slotBytes, rxSlots),
-		sendRing:  make([]*sendFrame, FlagBits),
-		cont:      make([]fifo.Queue[*cpu.Stream], nCores),
-		handed:    make([]*cpu.Stream, nCores),
-		nCores:    nCores,
+		Prof:   prof,
+		sp:     sp,
+		hst:    hst,
+		as:     as,
+		txRing: newSlotRing(0x000000, slotBytes, txSlots),
+		rxRing: newSlotRing(0x800000, slotBytes, rxSlots),
+		cont:   make([]fifo.Queue[*cpu.Stream], nCores),
+		handed: make([]*cpu.Stream, nCores),
+		nCores: nCores,
 	}
+	fw.send = orderRing{q: -1, ordLock: LockSendOrd, poolLock: LockHostNtfy, hwPtr: PtrMACTx, acct: AcctSendOrder,
+		syncOrder: &fw.Prof.SyncOrderSend, syncLock: &fw.Prof.SyncLockSend}
+	fw.send.init(sp, FlagsSend, FlagBits)
+	fw.rings = append(fw.rings, &fw.send)
 	// One receive pipeline per host receive queue. The status-flag region is
 	// subdivided evenly: with one queue the subarray is the entire legacy
 	// FlagsRecv array, so the seed build's flag addresses are unchanged.
 	nq := hst.RxQueues()
-	bits := RecvFlagBits(nq)
 	for q := 0; q < nq; q++ {
-		rq := &rxQueue{
-			q:        q,
-			flagBits: bits,
-			flagBase: FlagsRecvQ(q, nq),
-			ring:     make([]*recvFrame, bits),
-		}
-		rq.flags = mem.NewBitArray(sp, rq.flagBase, bits)
+		rq := &rxQueue{orderRing: orderRing{q: q, ordLock: LockRecvOrdQ(q), poolLock: LockRxPoolQ(q), hwPtr: PtrDMAWrite, acct: AcctRecvOrder,
+			syncOrder: &fw.Prof.SyncOrderRecv, syncLock: &fw.Prof.SyncLockRecv}}
+		rq.init(sp, FlagsRecvQ(q, nq), RecvFlagBits(nq))
 		fw.rxq = append(fw.rxq, rq)
+		fw.rings = append(fw.rings, &rq.orderRing)
 	}
 	as.MACRx.Alloc = func(size int, handle any) (uint32, bool) {
-		addr, _, ok := fw.rxRing.alloc()
-		if !ok {
-			return 0, false
-		}
-		return addr, true
+		return fw.rxRing.alloc()
 	}
 	as.MACRx.OnReceive = func(buf uint32, size int, handle any, queue int) {
 		rq := fw.rxq[queue]
 		fr := fw.recvFree.Get()
-		*fr = recvFrame{f: handle.(*host.Frame), idx: fw.recvSeq, q: queue, qidx: rq.seq, buf: buf, size: size}
+		*fr = frame{f: handle.(*host.Frame), idx: fw.recvSeq, buf: buf, size: int32(size)}
 		fw.recvSeq++
-		rq.seq++
-		rq.ring[fr.qidx%uint64(rq.flagBits)] = fr
-		fr.slot = int((buf - fw.rxRing.base) / fw.rxRing.slotSize)
+		rq.admit(fr)
 		rq.arrivedQ.Push(fr)
-		fw.Obs.FrameStageQ(obs.Recv, obs.RecvBuffered, fr.idx, fr.q)
+		fw.Obs.FrameStageQ(obs.Recv, obs.RecvBuffered, fr.idx, queue)
 	}
 	as.MACTx.OnTransmit = func(handle any) {
-		fr := handle.(*sendFrame)
+		fr := handle.(*frame)
 		f := fr.f
 		fr.f = nil
 		fw.txDoneQ.Push(fr)
@@ -513,28 +535,28 @@ func (fw *Firmware) pollStream(coreID int) *cpu.Stream {
 	b := fw.builder()
 	b.cost(fw.Prof.PollPass, b.cycle(PtrMailbox, PtrDMARead, PtrDMAWrite, PtrMACTx, PtrMACRx, PtrRecvBDPool))
 	if fw.Prof.Ordering == SoftwareOnly {
-		b.flagScan(LockSendOrd, FlagsSend, fw.sendCommitHead, FlagBits)
-		// Every receive queue's flag subarray is scanned under its own
-		// ordering lock — the per-queue share of the "synchronized, looping
-		// memory accesses" the dispatch loop pays in software-only mode.
-		for _, rq := range fw.rxq {
-			b.flagScan(LockRecvOrdQ(rq.q), rq.flagBase, rq.commitHead, uint64(rq.flagBits))
+		// Every ring's flags are scanned under its own ordering lock: the
+		// send ring's, then each receive queue's share of the "synchronized,
+		// looping memory accesses" the dispatch loop pays in software-only
+		// mode.
+		for _, r := range fw.rings {
+			b.flagScan(r)
 		}
 	}
 	return b.build("poll", codeDispatchBase, fw.Prof.CodeDispatch, AcctIdle, 0)
 }
 
-// flagScan appends one software-only poll check of a status-flag array: the
-// two words at the commit head, read under the array's ordering lock.
-func (b *streamBuilder) flagScan(lock, base uint32, head, bits uint64) {
-	word := base + uint32((head%bits)/32)*4
-	b.lock(lock, 0)
+// flagScan appends one software-only poll check of ring r's flags: the two
+// words at the commit head, read under the ring's ordering lock.
+func (b *streamBuilder) flagScan(r *orderRing) {
+	word := r.word(r.commitHead)
+	b.lock(r.ordLock, 0)
 	b.alu(3)
 	b.load(word)
 	b.alu(3)
 	b.load(word + 4)
 	b.alu(2)
-	b.unlock(lock, 0)
+	b.unlock(r.ordLock, 0)
 }
 
 // chain returns the first stream and queues the rest as continuations.
@@ -566,7 +588,7 @@ func (fw *Firmware) claimFetchSendBD(coreID int) *cpu.Stream {
 	fw.bdFetchOut++
 
 	b := fw.builder()
-	base := RegionSendBD + uint32(fw.sendSeq%2048)*16
+	base := RegionSendBD + uint32(fw.send.seq%2048)*16
 	b.cost(fw.Prof.FetchSendBDBatch.scale(float64(nBDs)/SendBDsPerBatch), b.cycle(base, base+16, base+32))
 	b.lock(LockSendBD, 0)
 	b.alu(4)
@@ -594,8 +616,8 @@ func (fw *Firmware) claimSendPrep(coreID int) *cpu.Stream {
 	}
 	fw.txReserved += n
 	rb := fw.newBatch()
-	frames := take(fw, &fw.prepQ, n, fw.batches[rb].send)
-	fw.batches[rb].send = frames
+	frames := take(fw, &fw.prepQ, n, fw.batches[rb].frames)
+	fw.batches[rb].frames = frames
 	fw.claimedSend += n
 
 	b := fw.builder()
@@ -628,9 +650,9 @@ func (fw *Firmware) claimSendDone(coreID int) *cpu.Stream {
 		return nil
 	}
 	n := fw.batch(fw.sendDMADone.Len())
-	frames := take(fw, &fw.sendDMADone, n, fw.scratchSend)
-	fw.scratchSend = frames
-	fw.ordPendSend += n
+	frames := take(fw, &fw.sendDMADone, n, fw.scratch)
+	fw.scratch = frames
+	fw.send.pend += n
 
 	b := fw.builder()
 	bases := b.list()
@@ -640,23 +662,13 @@ func (fw *Firmware) claimSendDone(coreID int) *cpu.Stream {
 	b.cost2(fw.Prof.SendFrameDone.add(fw.Prof.ExtensionPerFrame).scale(float64(n)), walk(bases), walk(b.offset(bases, DescStageDoneStore-DescStageDone)))
 	work := b.build("send-done", codeSendBase, fw.Prof.CodeSendFrame, AcctSendFrame, 0)
 
-	ord := fw.orderingSetStream(true, frames, nil)
+	ord := fw.orderingSetStream(&fw.send, frames)
 	return fw.chain(coreID, fw.dispatchStream(AcctSendOrder), work, ord)
 }
 
-// claimSendCommit advances the in-order commit point and hands consecutive
-// ready frames to the MAC — the dispatch-loop commit of the paper.
-func (fw *Firmware) claimSendCommit(coreID int) *cpu.Stream {
-	if fw.sendCommitClaim || fw.sendSet == fw.sendCommitHead {
-		return nil
-	}
-	ready := fw.consecutiveReady(fw.sendFlags, fw.sendCommitHead, FlagBits)
-	if ready == 0 {
-		return nil
-	}
-	fw.sendCommitClaim = true
-	return fw.commitStream(coreID, true, nil, ready)
-}
+// claimSendCommit advances the send ring's commit point, handing its
+// consecutive ready frames to the MAC.
+func (fw *Firmware) claimSendCommit(coreID int) *cpu.Stream { return fw.claimCommit(&fw.send) }
 
 // claimSendComplete handles transmit completions: frees buffer space and
 // notifies the host — "Send Frame" part three.
@@ -666,8 +678,8 @@ func (fw *Firmware) claimSendComplete(coreID int) *cpu.Stream {
 	}
 	n := fw.batch(fw.txDoneQ.Len())
 	rb := fw.newBatch()
-	frames := take(fw, &fw.txDoneQ, n, fw.batches[rb].send)
-	fw.batches[rb].send = frames
+	frames := take(fw, &fw.txDoneQ, n, fw.batches[rb].frames)
+	fw.batches[rb].frames = frames
 
 	b := fw.builder()
 	bases := b.list()
@@ -750,8 +762,8 @@ func (fw *Firmware) claimRecvPrep(coreID int) *cpu.Stream {
 			n = rq.bdCredit
 		}
 		rb := fw.newBatch()
-		frames := take(fw, &rq.arrivedQ, n, fw.batches[rb].recv)
-		fw.batches[rb].q, fw.batches[rb].recv = rq.q, frames
+		frames := take(fw, &rq.arrivedQ, n, fw.batches[rb].frames)
+		fw.batches[rb].q, fw.batches[rb].frames = rq.q, frames
 		rq.bdCredit -= n
 		fw.claimedRecv += n
 
@@ -759,7 +771,7 @@ func (fw *Firmware) claimRecvPrep(coreID int) *cpu.Stream {
 		bases := b.list()
 		for _, fr := range frames {
 			bases = b.add(bases,
-				rq.bdAddr(len(fw.rxq), fr.qidx),
+				rq.bdAddr(len(fw.rxq), fr.pos),
 				RegionRecvDesc+desc(fr.idx, DescStagePrep))
 		}
 		b.cost2(fw.Prof.RecvFramePrep.scale(float64(n)), walk(bases), walk(b.odd(bases)))
@@ -789,9 +801,9 @@ func (fw *Firmware) claimRecvDone(coreID int) *cpu.Stream {
 			return nil
 		}
 		n := fw.batch(rq.dmaDone.Len())
-		frames := take(fw, &rq.dmaDone, n, fw.scratchRecv)
-		fw.scratchRecv = frames
-		fw.ordPendRecv += n
+		frames := take(fw, &rq.dmaDone, n, fw.scratch)
+		fw.scratch = frames
+		rq.pend += n
 
 		b := fw.builder()
 		bases := b.list()
@@ -801,7 +813,7 @@ func (fw *Firmware) claimRecvDone(coreID int) *cpu.Stream {
 		b.cost2(fw.Prof.RecvFrameDone.add(fw.Prof.ExtensionPerFrame).scale(float64(n)), walk(bases), walk(b.offset(bases, DescStageDoneStore-DescStageDone)))
 		work := b.build("recv-done", codeRecvBase, fw.Prof.CodeRecvFrame, AcctRecvFrame, 0)
 
-		ord := fw.orderingSetStream(false, nil, frames)
+		ord := fw.orderingSetStream(&rq.orderRing, frames)
 		return fw.chain(coreID, fw.dispatchStream(AcctRecvOrder), work, ord)
 	})
 }
@@ -810,17 +822,7 @@ func (fw *Firmware) claimRecvDone(coreID int) *cpu.Stream {
 // queue's consecutive frames to the host in its arrival order — the
 // per-queue (not global) in-order invariant RSS relaxes to.
 func (fw *Firmware) claimRecvCommit(coreID int) *cpu.Stream {
-	return fw.eachRxQueue(3, func(rq *rxQueue) *cpu.Stream {
-		if rq.commitClaim || rq.set == rq.commitHead {
-			return nil
-		}
-		ready := fw.consecutiveReady(rq.flags, rq.commitHead, rq.flagBits)
-		if ready == 0 {
-			return nil
-		}
-		rq.commitClaim = true
-		return fw.commitStream(coreID, false, rq, ready)
-	})
+	return fw.eachRxQueue(3, func(rq *rxQueue) *cpu.Stream { return fw.claimCommit(&rq.orderRing) })
 }
 
 // claimRecvComplete frees one queue's receive buffer slots after delivery —
@@ -832,8 +834,8 @@ func (fw *Firmware) claimRecvComplete(coreID int) *cpu.Stream {
 		}
 		n := fw.batch(rq.doneQ.Len())
 		rb := fw.newBatch()
-		frames := take(fw, &rq.doneQ, n, fw.batches[rb].recv)
-		fw.batches[rb].recv = frames
+		frames := take(fw, &rq.doneQ, n, fw.batches[rb].frames)
+		fw.batches[rb].frames = frames
 
 		b := fw.builder()
 		bases := b.list()
@@ -857,59 +859,39 @@ func (fw *Firmware) claimRecvComplete(coreID int) *cpu.Stream {
 // Ordering
 // ---------------------------------------------------------------------------
 
-// consecutiveReady counts consecutive set flags from the commit head of a
-// bits-sized flag array, functionally (the timing cost is charged by the
-// commit stream's ops).
-func (fw *Firmware) consecutiveReady(ba *mem.BitArray, head uint64, bits int) int {
-	n := 0
-	for n < bits && ba.IsSet(int((head+uint64(n))%uint64(bits))) {
-		n++
+// claimCommit advances ring r's in-order commit point over its consecutive
+// ready frames — the dispatch-loop commit of the paper.
+func (fw *Firmware) claimCommit(r *orderRing) *cpu.Stream {
+	if r.commitClaim || r.set == r.commitHead {
+		return nil
 	}
-	return n
+	ready := consecutiveReady(r)
+	if ready == 0 {
+		return nil
+	}
+	r.commitClaim = true
+	return fw.commitStream(r, ready)
 }
 
-// orderingSetStream builds the per-frame status-flag set segment: the
-// lock-protected read-modify-write sequence in software-only mode, or one
-// atomic set instruction in RMW mode. Exactly one of sf/rf is non-nil, and
-// a receive batch is always frames of a single queue, whose flag subarray
-// and ordering lock the stream targets.
-func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFrame) *cpu.Stream {
-	var rq *rxQueue
-	lockAddr := uint32(LockSendOrd)
-	acct := AcctSendOrder
-	flagBase := uint32(FlagsSend)
-	flagBits := uint64(FlagBits)
-	if !send {
-		rq = fw.rxq[rf[0].q]
-		lockAddr = LockRecvOrdQ(rq.q)
-		acct = AcctRecvOrder
-		flagBase = rq.flagBase
-		flagBits = uint64(rq.flagBits)
+// consecutiveReady counts ring r's consecutive set flags from its commit
+// head, functionally (the timing cost is charged by the commit stream's
+// ops).
+func consecutiveReady(r *orderRing) int {
+	n := uint64(0)
+	for n < r.bits && r.flags.IsSet(int((r.commitHead+n)%r.bits)) {
+		n++
 	}
-	n := len(sf) + len(rf)
-	// bit is frame i's status flag; setFlag the record that sets it.
-	bit := func(i int) uint64 {
-		if send {
-			return sf[i].idx % flagBits
-		}
-		return rf[i].qidx % flagBits
-	}
-	wordAddr := func(i int) uint32 {
-		return flagBase + uint32(bit(i)/32)*4
-	}
-	setFlag := func(i int) uint32 {
-		if send {
-			return rec(doneSetSend, uint32(bit(i)))
-		}
-		return rec(doneSetRecv, qarg(rq.q, bit(i)))
-	}
+	return int(n)
+}
 
-	syncOrder := fw.Prof.SyncOrderRecv
-	syncLock := fw.Prof.SyncLockRecv
-	if send {
-		syncOrder = fw.Prof.SyncOrderSend
-		syncLock = fw.Prof.SyncLockSend
-	}
+// orderingSetStream builds the per-frame status-flag set segment for frames
+// of ring r: the lock-protected read-modify-write sequence in software-only
+// mode, or one atomic set instruction in RMW mode.
+func (fw *Firmware) orderingSetStream(r *orderRing, frames []*frame) *cpu.Stream {
+	n := len(frames)
+	wordAddr := func(i int) uint32 { return r.word(frames[i].pos) }
+	setFlag := func(i int) uint32 { return rec(doneSet, r.arg(frames[i].pos%r.bits)) }
+
 	// Task-level parallel firmware never runs a handler on two cores at
 	// once, so it pays no reentrancy synchronization (its handlers are not
 	// reentrant; that is exactly what caps its scaling).
@@ -919,157 +901,120 @@ func (fw *Firmware) orderingSetStream(send bool, sf []*sendFrame, rf []*recvFram
 	}
 
 	b := fw.builder()
+	syncLock := *r.syncLock
 	if fw.Prof.Ordering == SoftwareOnly {
 		// The measured sw_set kernel, per frame: lock acquire (ll/bnez/
 		// addiu/sc/beqz/nop emerge from OpLock), index arithmetic, word
 		// read-modify-write, release. This per-frame synchronization is
 		// exactly the overhead the paper's set instruction removes.
 		for i := 0; i < n; i++ {
-			b.lock(lockAddr, 0)
+			b.lock(r.ordLock, 0)
 			b.alu(3)
 			b.load(wordAddr(i))
 			b.alu(4)
 			b.store(wordAddr(i))
 			b.then(setFlag(i))
-			b.unlock(lockAddr, 0)
+			b.unlock(r.ordLock, 0)
 			b.alu(2)
 		}
 		// Reentrancy synchronization against every other active core's
 		// concurrent handlers (removed entirely by the RMW instructions).
-		b.cost(syncOrder.scale(float64(extra)), b.cycle(wordAddr(0), lockAddr))
+		b.cost(r.syncOrder.scale(float64(extra)), b.cycle(wordAddr(0), r.ordLock))
 	} else {
 		for i := 0; i < n; i++ {
 			// setb: one atomic transaction, plus return linkage.
 			b.rmw(wordAddr(i), setFlag(i))
 			b.alu(2)
 		}
-	}
-	// The lock-based share of reentrancy synchronization remains under
-	// either ordering implementation and is real locking work: acquire and
-	// release rounds on the direction's pool/notify lock. Under RMW it
-	// grows: "contention among the remaining firmware locks increases. This
-	// problem is particularly troublesome for a lock in the receive path."
-	if fw.Prof.Ordering == RMWEnhanced {
+		// The lock-based share of reentrancy synchronization remains under
+		// either ordering implementation and is real locking work: acquire
+		// and release rounds on the ring's pool/notify lock. Under RMW it
+		// grows: "contention among the remaining firmware locks increases.
+		// This problem is particularly troublesome for a lock in the receive
+		// path."
 		syncLock = syncLock.scale(1.5)
-	}
-	poolLock := uint32(LockHostNtfy)
-	if !send {
-		poolLock = LockRxPoolQ(rq.q)
 	}
 	// Each uncontended round costs ~8 instructions (6-instruction acquire,
 	// release store, linkage), so rounds approximate the budgeted share.
 	rounds := extra * syncLock.Instr / 8
-	for r := 0; r < rounds; r++ {
-		b.lock(poolLock, 0)
-		b.unlock(poolLock, 0)
+	for i := 0; i < rounds; i++ {
+		b.lock(r.poolLock, 0)
+		b.unlock(r.poolLock, 0)
 	}
-	return b.build("ordering-set", codeOrderBase, fw.Prof.CodeOrdering, acct, 0)
+	return b.build("ordering-set", codeOrderBase, fw.Prof.CodeOrdering, r.acct, 0)
 }
 
-// commitStream builds the in-order commit: the software-only scan clears
-// ready flags one lock-protected word access at a time; the RMW version is a
-// single atomic update. Commit actions (handing frames to the MAC or to the
-// host) run serialized inside the final memory transaction's completion.
-// rq is the receive queue being committed (nil on the send side).
-func (fw *Firmware) commitStream(coreID int, send bool, rq *rxQueue, ready int) *cpu.Stream {
-	acct := AcctSendOrder
-	lockAddr := uint32(LockSendOrd)
-	flagBase := uint32(FlagsSend)
-	flagBits := uint64(FlagBits)
-	hwPtr := uint32(PtrMACTx)
-	head := fw.sendCommitHead
-	if !send {
-		acct = AcctRecvOrder
-		lockAddr = LockRecvOrdQ(rq.q)
-		flagBase = rq.flagBase
-		flagBits = uint64(rq.flagBits)
-		hwPtr = PtrDMAWrite
-		head = rq.commitHead
-	}
-
+// commitStream builds the in-order commit of ring r: the software-only scan
+// clears ready flags one lock-protected word access at a time; the RMW
+// version is a single atomic update. Commit actions (handing frames to the
+// MAC or to the host) run serialized inside the final memory transaction's
+// completion.
+func (fw *Firmware) commitStream(r *orderRing, ready int) *cpu.Stream {
 	b := fw.builder()
-	b.cost(fw.Prof.CommitPerEvent, b.cycle(fw.eventAddr(), hwPtr))
-
-	wordAt := func(k uint64) uint32 {
-		return flagBase + uint32((k%flagBits)/32)*4
-	}
-
-	commit, update, end := rec(doneCommitSend, uint32(ready)), rec(doneUpdateSend, 0), rec(doneEndCommitSend, 0)
-	if !send {
-		commit = rec(doneCommitRecv, qarg(rq.q, uint64(ready)))
-		update, end = rec(doneUpdateRecv, qarg(rq.q, 0)), rec(doneEndCommitRecv, qarg(rq.q, 0))
-	}
+	b.cost(fw.Prof.CommitPerEvent, b.cycle(fw.eventAddr(), r.hwPtr))
+	head := r.commitHead
 	if fw.Prof.Ordering == SoftwareOnly {
-		b.lock(lockAddr, 0)
-		b.load(wordAt(head)) // read head pointer word
+		b.lock(r.ordLock, 0)
+		b.load(r.word(head)) // read head pointer word
 		for i := 0; i < ready; i++ {
 			// Scan iteration: index math, load word, test, clear, store.
 			b.alu(3)
-			b.load(wordAt(head + uint64(i)))
+			b.load(r.word(head + uint64(i)))
 			b.alu(4)
-			b.store(wordAt(head + uint64(i)))
+			b.store(r.word(head + uint64(i)))
 		}
 		// Terminating iteration (bit clear) plus head and pointer stores.
 		b.alu(6)
-		b.store(hwPtr)
-		b.then(commit)
-		b.unlock(lockAddr, 0)
+		b.store(r.hwPtr)
+		b.then(rec(doneCommit, r.arg(uint64(ready))))
+		b.unlock(r.ordLock, 0)
 		b.alu(2)
 	} else {
 		// upd: one atomic transaction bounded to a single word; commit what
 		// it actually cleared, then publish the hardware pointer.
-		b.rmw(wordAt(head), update)
+		b.rmw(r.word(head), rec(doneUpdate, r.arg(0)))
 		b.alu(2)
-		b.store(hwPtr)
+		b.store(r.hwPtr)
 		b.alu(2)
 	}
-	return b.build("commit", codeOrderBase, fw.Prof.CodeOrdering, acct, end)
+	return b.build("commit", codeOrderBase, fw.Prof.CodeOrdering, r.acct, rec(doneEndCommit, r.arg(0)))
 }
 
-// commit clears n flags through the bit array (software scan semantics) and
-// applies the commit actions.
-func (fw *Firmware) commit(send bool, rq *rxQueue, n int) {
-	ba := fw.sendFlags
-	if !send {
-		ba = rq.flags
-	}
+// commit clears up to n flags of ring r through its bit array (software
+// scan semantics) and applies the commit actions.
+func (fw *Firmware) commit(r *orderRing, n int) {
 	cleared := 0
 	for cleared < n {
-		_, k := ba.Update()
+		_, k := r.flags.Update()
 		if k == 0 {
 			break
 		}
 		cleared += k
 	}
-	fw.commitCleared(send, rq, cleared)
+	fw.commitCleared(r, cleared)
 }
 
-// commitCleared hands k consecutive frames past the commit head to the next
-// stage, in order (per queue on the receive side).
-func (fw *Firmware) commitCleared(send bool, rq *rxQueue, k int) {
+// commitCleared hands ring r's k consecutive frames past the commit head to
+// the next stage, in order: sent frames to the MAC, a receive queue's frames
+// to the host.
+func (fw *Firmware) commitCleared(r *orderRing, k int) {
 	for i := 0; i < k; i++ {
-		if send {
-			fr := fw.sendRing[fw.sendCommitHead%FlagBits]
-			if fr == nil {
-				panic(fmt.Sprintf("firmware: committing absent send frame %d", fw.sendCommitHead))
-			}
-			fw.sendRing[fw.sendCommitHead%FlagBits] = nil
-			fw.sendCommitHead++
+		fr := r.frames[r.commitHead%r.bits]
+		if fr == nil {
+			panic(fmt.Sprintf("firmware: committing absent frame %d on ring %d", r.commitHead, r.index()))
+		}
+		r.frames[r.commitHead%r.bits] = nil
+		r.commitHead++
+		if r.q < 0 {
 			fw.TxCommitted.Inc()
 			fw.as.MACTx.Send(fr.buf, fr.f.Size, fr)
 			fw.Obs.FrameStage(obs.Send, obs.SendCommitted, fr.idx)
-		} else {
-			fr := rq.ring[rq.commitHead%uint64(rq.flagBits)]
-			if fr == nil {
-				panic(fmt.Sprintf("firmware: committing absent receive frame %d on queue %d", rq.commitHead, rq.q))
-			}
-			rq.ring[rq.commitHead%uint64(rq.flagBits)] = nil
-			rq.commitHead++
-			fw.RxDelivered.Inc()
-			fw.hst.DeliverFrame(fr.f, rq.q)
-			fr.f = nil
-			rq.doneQ.Push(fr)
-			fw.Obs.FrameStageQ(obs.Recv, obs.RecvDelivered, fr.idx, rq.q)
+			continue
 		}
+		fw.RxDelivered.Inc()
+		fw.hst.DeliverFrame(fr.f, r.q)
+		fr.f = nil
+		fw.rxq[r.q].doneQ.Push(fr)
+		fw.Obs.FrameStageQ(obs.Recv, obs.RecvDelivered, fr.idx, r.q)
 	}
 }

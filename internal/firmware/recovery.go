@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/fifo"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -161,36 +160,33 @@ func (fw *Firmware) TakeOver(coreID int, preempted *cpu.Stream) {
 // this is the belt-and-suspenders pass that restores the invariant if that
 // ever breaks.
 func (fw *Firmware) repairFlags() {
-	fix := func(ba *mem.BitArray, set *uint64, head uint64, bits int) {
-		n := 0
-		for i := 0; i < bits; i++ {
-			if ba.IsSet(i) {
+	for _, r := range fw.rings {
+		n := uint64(0)
+		for i := 0; i < int(r.bits); i++ {
+			if r.flags.IsSet(i) {
 				n++
 			}
 		}
-		if want := head + uint64(n); *set != want {
-			*set = want
+		if want := r.commitHead + n; r.set != want {
+			r.set = want
 			fw.FlagRepairs++
 		}
-		if ba.Head() != int(head%uint64(bits)) {
-			ba.Seek(int(head % uint64(bits)))
+		if h := int(r.commitHead % r.bits); r.flags.Head() != h {
+			r.flags.Seek(h)
 			fw.FlagRepairs++
 		}
-	}
-	fix(fw.sendFlags, &fw.sendSet, fw.sendCommitHead, FlagBits)
-	for _, rq := range fw.rxq {
-		fix(rq.flags, &rq.set, rq.commitHead, rq.flagBits)
 	}
 }
 
 // AuditSend checks send-direction frame conservation: every frame the BD
 // fetch admitted is in exactly one pipeline stage or already committed.
 func (fw *Firmware) AuditSend() error {
-	inFlight := uint64(fw.prepQ.Len()+fw.claimedSend+fw.dmaOutSend+fw.sendDMADone.Len()+fw.ordPendSend) +
-		(fw.sendSet - fw.sendCommitHead)
-	if got := fw.sendSeq - fw.sendCommitHead; got != inFlight {
+	r := &fw.send
+	inFlight := uint64(fw.prepQ.Len()+fw.claimedSend+fw.dmaOutSend+fw.sendDMADone.Len()+r.pend) +
+		(r.set - r.commitHead)
+	if got := r.seq - r.commitHead; got != inFlight {
 		return fmt.Errorf("send conservation: seq-head=%d but stages sum to %d (prepQ=%d claimed=%d dmaOut=%d dmaDone=%d ordPend=%d set-head=%d)",
-			got, inFlight, fw.prepQ.Len(), fw.claimedSend, fw.dmaOutSend, fw.sendDMADone.Len(), fw.ordPendSend, fw.sendSet-fw.sendCommitHead)
+			got, inFlight, fw.prepQ.Len(), fw.claimedSend, fw.dmaOutSend, fw.sendDMADone.Len(), r.pend, r.set-r.commitHead)
 	}
 	return nil
 }
@@ -198,17 +194,18 @@ func (fw *Firmware) AuditSend() error {
 // AuditRecv checks receive-direction frame conservation across every queue:
 // each arrived frame is in exactly one queue's pipeline stage or committed.
 func (fw *Firmware) AuditRecv() error {
-	var arrived, dmaDone, setMinusHead, committed uint64
+	var arrived, dmaDone, ordPend, setMinusHead, committed uint64
 	for _, rq := range fw.rxq {
 		arrived += uint64(rq.arrivedQ.Len())
 		dmaDone += uint64(rq.dmaDone.Len())
+		ordPend += uint64(rq.pend)
 		setMinusHead += rq.set - rq.commitHead
 		committed += rq.commitHead
 	}
-	inFlight := arrived + uint64(fw.claimedRecv+fw.dmaOutRecv) + dmaDone + uint64(fw.ordPendRecv) + setMinusHead
+	inFlight := arrived + uint64(fw.claimedRecv+fw.dmaOutRecv) + dmaDone + ordPend + setMinusHead
 	if got := fw.recvSeq - committed; got != inFlight {
 		return fmt.Errorf("recv conservation: seq-heads=%d but stages sum to %d (arrived=%d claimed=%d dmaOut=%d dmaDone=%d ordPend=%d set-head=%d)",
-			got, inFlight, arrived, fw.claimedRecv, fw.dmaOutRecv, dmaDone, fw.ordPendRecv, setMinusHead)
+			got, inFlight, arrived, fw.claimedRecv, fw.dmaOutRecv, dmaDone, ordPend, setMinusHead)
 	}
 	return nil
 }
@@ -223,7 +220,7 @@ func (fw *Firmware) PendingWork() int {
 		recvCommitted += rq.commitHead
 		recvDone += rq.doneQ.Len()
 	}
-	return int(fw.sendSeq-fw.sendCommitHead) + int(fw.recvSeq-recvCommitted) +
+	return int(fw.send.seq-fw.send.commitHead) + int(fw.recvSeq-recvCommitted) +
 		fw.txDoneQ.Len() + recvDone + fw.orphans.Len()
 }
 
@@ -242,9 +239,9 @@ func (fw *Firmware) ProgressSignature() [8]uint64 {
 		recvSet += rq.set
 	}
 	return [8]uint64{
-		fw.sendSeq, fw.recvSeq,
-		fw.sendCommitHead, recvCommitted,
-		fw.sendSet, recvSet,
+		fw.send.seq, fw.recvSeq,
+		fw.send.commitHead, recvCommitted,
+		fw.send.set, recvSet,
 		retried, fw.Takeovers,
 	}
 }
@@ -272,28 +269,21 @@ func (fw *Firmware) SabotageLeak(send bool) {
 }
 
 // SabotageSwap deliberately swaps two adjacent occupied ring slots past the
-// commit head so the next commits deliver frames out of order. Used only to
-// prove the invariant checker detects ordering violations.
+// commit head, on the send ring or on the first receive ring that has two,
+// so the next commits deliver frames out of order. Used only to prove the
+// invariant checker detects ordering violations.
 func (fw *Firmware) SabotageSwap(send bool) {
+	rings := fw.rings[1:]
 	if send {
-		for i := uint64(0); i+1 < FlagBits; i++ {
-			a := (fw.sendCommitHead + i) % FlagBits
-			b := (fw.sendCommitHead + i + 1) % FlagBits
-			if fw.sendRing[a] != nil && fw.sendRing[b] != nil {
-				fw.sendRing[a], fw.sendRing[b] = fw.sendRing[b], fw.sendRing[a]
+		rings = fw.rings[:1]
+	}
+	for _, r := range rings {
+		for i := uint64(0); i+1 < r.bits; i++ {
+			a := (r.commitHead + i) % r.bits
+			b := (r.commitHead + i + 1) % r.bits
+			if r.frames[a] != nil && r.frames[b] != nil {
+				r.frames[a], r.frames[b] = r.frames[b], r.frames[a]
 				return
-			}
-		}
-	} else {
-		for _, rq := range fw.rxq {
-			bits := uint64(rq.flagBits)
-			for i := uint64(0); i+1 < bits; i++ {
-				a := (rq.commitHead + i) % bits
-				b := (rq.commitHead + i + 1) % bits
-				if rq.ring[a] != nil && rq.ring[b] != nil {
-					rq.ring[a], rq.ring[b] = rq.ring[b], rq.ring[a]
-					return
-				}
 			}
 		}
 	}

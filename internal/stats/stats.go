@@ -17,9 +17,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // A Utilization tracks busy cycles against total cycles for a shared resource
 // such as the instruction-memory port or the SDRAM bus.
 type Utilization struct {

@@ -12,10 +12,6 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 10 {
 		t.Errorf("Value() = %d, want 10", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("after Reset, Value() = %d", c.Value())
-	}
 }
 
 func TestUtilization(t *testing.T) {
