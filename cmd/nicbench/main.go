@@ -1,7 +1,8 @@
-// nicbench regenerates the paper's tables and figures from the simulator,
-// orchestrated by the internal/sweep harness: configurations run across a
-// worker pool, results persist to a resumable JSONL store, and committed
-// golden baselines gate regressions.
+// nicbench regenerates the paper's tables, figures and ablations from the
+// simulator; it is the one way to produce them. Every artifact is a suite of
+// experiments.Suites(), run as one batch through the internal/sweep harness:
+// configurations run across a worker pool, points shared between suites
+// simulate once per run, and committed golden baselines gate regressions.
 //
 // Usage:
 //
@@ -12,11 +13,8 @@
 //	nicbench -suite figure7,gate       # suites by key
 //	nicbench -ablation ab              # design-choice ablations
 //	nicbench -quick ...                # shorter simulation windows
-//	nicbench -all -out results/        # persist results; ^C then -resume
-//	nicbench -all -out results/ -resume
 //	nicbench -quick -check             # gate vs committed baselines (CI)
 //	nicbench -quick -check -update-baseline  # refresh golden baselines
-//	nicbench -quick -all -times        # per-job sim-time/wall-time summary
 //	nicbench -all -cpuprofile cpu.prof # CPU profile of the whole run
 //	nicbench -all -memprofile mem.prof # heap profile at exit
 //	nicbench -json -canonical          # canonical results (byte-comparable)
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -58,10 +55,7 @@ func run() int {
 		list     = flag.Bool("list", false, "list available suites and their job counts")
 
 		parallel = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 0, "per-job timeout (0 = none)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON results instead of tables")
-		outDir   = flag.String("out", "", "directory for the resumable result store (results.jsonl)")
-		resume   = flag.Bool("resume", false, "reuse results already in -out instead of starting fresh")
 
 		check    = flag.Bool("check", false, "compare results against golden baselines; non-zero exit on regression")
 		baseline = flag.String("baseline", "baselines/gate.json", "golden baseline file for -check/-update-baseline")
@@ -69,7 +63,6 @@ func run() int {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		times      = flag.Bool("times", false, "print a per-job simulated-time/wall-time summary")
 		latency    = flag.Bool("latency", false, "observe frame lifecycles (latency section in reports; incompatible with -check/-update-baseline)")
 
 		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times) for byte-exact comparison across runs")
@@ -145,37 +138,10 @@ func run() int {
 		return 2
 	}
 
-	var store *sweep.Store
-	if *resume && *outDir == "" {
-		fmt.Fprintln(os.Stderr, "nicbench: -resume requires -out")
-		return 2
-	}
-	if *outDir != "" {
-		path := filepath.Join(*outDir, sweep.StoreFileName)
-		if !*resume {
-			// A fresh run must not silently serve a previous run's points.
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "nicbench:", err)
-				return 1
-			}
-		}
-		store, err = sweep.OpenStore(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nicbench:", err)
-			return 1
-		}
-		defer store.Close()
-	}
-
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	sw := &sweep.Runner{
-		Run:     experiments.Simulate,
-		Workers: *parallel,
-		Timeout: *timeout,
-		Store:   store,
-	}
+	sw := &sweep.Runner{Run: experiments.Simulate, Workers: *parallel}
 
 	var (
 		allResults  []sweep.Result
@@ -242,15 +208,8 @@ func run() int {
 		}
 	}
 
-	if *times {
-		printTimes(allResults)
-	}
-	extra := ""
-	if n := sw.Stats().StoreErrors; n > 0 {
-		extra = fmt.Sprintf(", %d store errors", n)
-	}
-	fmt.Fprintf(os.Stderr, "nicbench: %d simulated, %d cached, %d failed%s in %.1fs (budget %s)\n",
-		ran, hit, len(failed), extra, time.Since(start).Seconds(), budgetName)
+	fmt.Fprintf(os.Stderr, "nicbench: %d simulated, %d cached, %d failed in %.1fs (budget %s)\n",
+		ran, hit, len(failed), time.Since(start).Seconds(), budgetName)
 	for _, r := range failed {
 		msg := r.Err
 		if i := strings.IndexByte(msg, '\n'); i >= 0 {
@@ -262,11 +221,7 @@ func run() int {
 		status = 1
 	}
 	if interrupted {
-		hint := ""
-		if *outDir != "" {
-			hint = fmt.Sprintf(" — finished jobs are saved; rerun with -resume -out %s", *outDir)
-		}
-		fmt.Fprintf(os.Stderr, "nicbench: interrupted%s\n", hint)
+		fmt.Fprintln(os.Stderr, "nicbench: interrupted")
 		return 1
 	}
 
@@ -343,34 +298,6 @@ func selectSuites(table, figure int, ablation, suiteList string, all, gateDefaul
 		}
 	}
 	return sel, nil
-}
-
-// printTimes emits a -list-style per-job summary of simulated time versus
-// wall time. Cached results carry no meaningful wall time and are marked so.
-func printTimes(results []sweep.Result) {
-	fmt.Printf("%-28s %10s %10s %12s\n", "job", "sim-us", "wall-s", "sim-ns/wall-ms")
-	var simTot, wallTot float64
-	for _, r := range results {
-		if !r.OK() {
-			continue
-		}
-		simUs := float64(r.Spec.WarmupPs+r.Spec.MeasurePs) / 1e6
-		if r.Cached {
-			fmt.Printf("%-28s %10.0f %10s %12s\n", r.ID, simUs, "cached", "-")
-			continue
-		}
-		ratio := 0.0
-		if r.ElapsedSec > 0 {
-			// simulated ns advanced per wall millisecond.
-			ratio = (simUs * 1e3) / (r.ElapsedSec * 1e3)
-		}
-		fmt.Printf("%-28s %10.0f %10.2f %12.0f\n", r.ID, simUs, r.ElapsedSec, ratio)
-		simTot += simUs
-		wallTot += r.ElapsedSec
-	}
-	if wallTot > 0 {
-		fmt.Printf("%-28s %10.0f %10.2f %12.0f\n", "total (simulated jobs)", simTot, wallTot, simTot*1e3/(wallTot*1e3))
-	}
 }
 
 func listSuites(b experiments.Budget, budgetName string) {

@@ -9,6 +9,6 @@
 // trace-driven MESI coherence simulator.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured record, cmd/nicbench to regenerate every table and
-// figure, and bench_test.go for the testing.B entry points.
+// paper-vs-measured record, and cmd/nicbench, the one command that
+// regenerates every table, figure and ablation.
 package repro

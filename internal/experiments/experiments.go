@@ -35,13 +35,6 @@ var Quick = Budget{Warmup: 800 * sim.Microsecond, Measure: 500 * sim.Microsecond
 // Full is the recorded-results window.
 var Full = Budget{Warmup: 1500 * sim.Microsecond, Measure: 1000 * sim.Microsecond}
 
-// Run executes one configuration under a workload.
-func Run(cfg core.Config, udpSize int, b Budget) core.Report {
-	n := core.New(cfg)
-	n.AttachWorkload(udpSize, false)
-	return n.Run(b.Warmup, b.Measure)
-}
-
 // ---------------------------------------------------------------------------
 // Table 1 — ideal per-frame task costs
 // ---------------------------------------------------------------------------
@@ -131,21 +124,11 @@ func PrintTable2(w io.Writer, tr []trace.Inst) {
 // Figure 3 — coherent cache study
 // ---------------------------------------------------------------------------
 
-// Figure3 captures per-processor metadata traces from a six-core run (DMA
-// assists interleaved into one cache, MAC assists into another, matching the
-// paper's workaround for SMPCache's eight-cache limit) and sweeps
-// fully-associative MESI caches from 16 B to 32 KB.
-func Figure3(b Budget, maxRefs int) []smpcache.SweepPoint {
-	res := runSerial(Figure3Jobs(b, maxRefs))
-	pts, err := Fig3Points(res[0])
-	if err != nil {
-		panic(err)
-	}
-	return pts
-}
-
-// figure3Collect is the Figure 3 job body: the traced run plus the cache
-// sweep, with cooperative cancellation.
+// figure3Collect is the Figure 3 job body. It captures per-processor
+// metadata traces from a six-core run (DMA assists interleaved into one
+// cache, MAC assists into another, matching the paper's workaround for
+// SMPCache's eight-cache limit) and sweeps fully-associative MESI caches
+// from 16 B to 32 KB, with cooperative cancellation.
 func figure3Collect(ctx context.Context, b Budget, maxRefs int) ([]smpcache.SweepPoint, core.Report, error) {
 	n := core.New(core.DefaultConfig())
 	n.AttachWorkload(1472, false)
@@ -198,17 +181,6 @@ type Fig7Point struct {
 	MHz       float64
 	TotalGbps float64
 	Fraction  float64
-}
-
-// Figure7 sweeps core counts and frequencies for maximum-sized frames. This
-// is the serial path; cmd/nicbench runs the same Figure7Jobs over a parallel
-// sweep.Runner.
-func Figure7(b Budget, coreCounts []int, mhz []float64) []Fig7Point {
-	pts, err := Fig7Points(runSerial(Figure7Jobs(b, coreCounts, mhz)))
-	if err != nil {
-		panic(err)
-	}
-	return pts
 }
 
 // PaperFig7Cores and PaperFig7MHz are the sweep axes of Figure 7.
@@ -270,15 +242,6 @@ func PrintTable4(w io.Writer, r core.Report) {
 type OrderingComparison struct {
 	SW  core.Report
 	RMW core.Report
-}
-
-// CompareOrdering runs both configurations.
-func CompareOrdering(b Budget) OrderingComparison {
-	c, err := orderingComparisonOf(runSerial(OrderingJobs(b)))
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // PrintTable5 renders per-packet instructions and memory accesses for the
@@ -352,15 +315,6 @@ type Fig8Point struct {
 // PaperFig8Sizes is the datagram-size axis.
 var PaperFig8Sizes = []int{18, 100, 200, 400, 800, 1200, 1472}
 
-// Figure8 sweeps UDP datagram sizes for both orderings.
-func Figure8(b Budget, sizes []int) []Fig8Point {
-	pts, err := Fig8Points(runSerial(Figure8Jobs(b, sizes)))
-	if err != nil {
-		panic(err)
-	}
-	return pts
-}
-
 // PrintFigure8 renders the sweep.
 func PrintFigure8(w io.Writer, pts []Fig8Point) {
 	fmt.Fprintln(w, "Figure 8: full-duplex throughput vs UDP datagram size")
@@ -376,16 +330,6 @@ func PrintFigure8(w io.Writer, pts []Fig8Point) {
 // Ablations
 // ---------------------------------------------------------------------------
 
-// AblationBanks sweeps scratchpad bank counts at the default operating
-// point, the partitioned-memory design study of §2.3.
-func AblationBanks(b Budget, banks []int) []core.Report {
-	rs, err := ReportsOf(runSerial(AblationBanksJobs(b, banks)))
-	if err != nil {
-		panic(err)
-	}
-	return rs
-}
-
 // PrintAblationBanks renders the bank sweep.
 func PrintAblationBanks(w io.Writer, reports []core.Report) {
 	fmt.Fprintln(w, "Ablation A: scratchpad banking (6 cores @ 200 MHz)")
@@ -393,16 +337,6 @@ func PrintAblationBanks(w io.Writer, reports []core.Report) {
 		fmt.Fprintf(w, "  %d bank(s): %6.2f Gb/s (%5.1f%%), conflict stalls %.3f/cycle\n",
 			r.Cfg.ScratchpadBanks, r.TotalGbps, 100*r.LineFraction, r.FracConflict)
 	}
-}
-
-// AblationTaskParallel compares the frame-parallel event queue against the
-// Tigon-II-style task-level event register across core counts.
-func AblationTaskParallel(b Budget, coreCounts []int, mhz float64) (fp, tp []core.Report) {
-	fp, tp, err := taskParallelPairsOf(runSerial(AblationTaskParallelJobs(b, coreCounts, mhz)))
-	if err != nil {
-		panic(err)
-	}
-	return fp, tp
 }
 
 // PrintAblationTaskParallel renders the comparison.

@@ -1,15 +1,34 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // tiny is an extra-short budget so this package's tests stay fast; the
 // full-length validations live in internal/core.
 var tiny = Budget{Warmup: 400 * sim.Microsecond, Measure: 300 * sim.Microsecond}
+
+// runJobs runs jobs through a one-worker sweep.Runner, as nicbench would with
+// -parallel 1, and fails the test if any job fails.
+func runJobs(t *testing.T, jobs []sweep.Job) []sweep.Result {
+	t.Helper()
+	r := &sweep.Runner{Run: Simulate, Workers: 1}
+	res, err := r.Sweep(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range res {
+		if !x.OK() {
+			t.Fatalf("job %s: %s", x.ID, x.Err)
+		}
+	}
+	return res
+}
 
 func TestTable1TotalsMatchPaperProse(t *testing.T) {
 	rows := Table1()
@@ -36,7 +55,10 @@ func TestPrintersProduceOutput(t *testing.T) {
 }
 
 func TestFigure7PointOrdering(t *testing.T) {
-	pts := Figure7(tiny, []int{2}, []float64{100, 400})
+	pts, err := Fig7Points(runJobs(t, Figure7Jobs(tiny, []int{2}, []float64{100, 400})))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -47,7 +69,10 @@ func TestFigure7PointOrdering(t *testing.T) {
 }
 
 func TestFigure8ShapesAndPrinter(t *testing.T) {
-	pts := Figure8(tiny, []int{1472, 200})
+	pts, err := Fig8Points(runJobs(t, Figure8Jobs(tiny, []int{1472, 200})))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pts[0].LimitGbps <= pts[1].LimitGbps {
 		t.Error("Ethernet limit should fall with datagram size")
 	}
@@ -62,7 +87,10 @@ func TestFigure8ShapesAndPrinter(t *testing.T) {
 }
 
 func TestAblationBanksMonotoneConflicts(t *testing.T) {
-	rs := AblationBanks(tiny, []int{1, 8})
+	rs, err := ReportsOf(runJobs(t, AblationBanksJobs(tiny, []int{1, 8})))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rs[0].FracConflict <= rs[1].FracConflict {
 		t.Errorf("1-bank conflicts %.3f not above 8-bank %.3f",
 			rs[0].FracConflict, rs[1].FracConflict)

@@ -111,8 +111,8 @@ func BudgetOf(s sweep.Spec) Budget {
 }
 
 // Simulate is the sweep.RunFunc that executes one job on the cycle
-// simulator. It honors ctx: a cancellation or per-job timeout stops the
-// simulation engine via a watchdog goroutine and fails the job.
+// simulator. It honors ctx: a cancellation stops the simulation engine via
+// a watchdog goroutine and fails the job.
 func Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
 	b := BudgetOf(j.Spec)
 	if b.Measure == 0 {
@@ -639,21 +639,4 @@ func Fig8Points(results []sweep.Result) ([]Fig8Point, error) {
 		})
 	}
 	return out, nil
-}
-
-// runSerial executes jobs on a single in-process worker; the compatibility
-// wrappers (Figure7, Figure8, the ablations) use it so the serial path and
-// the parallel nicbench path share one job definition.
-func runSerial(jobs []sweep.Job) []sweep.Result {
-	r := &sweep.Runner{Run: Simulate, Workers: 1}
-	res, err := r.Sweep(context.Background(), jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: sweep: %v", err))
-	}
-	for _, x := range res {
-		if !x.OK() {
-			panic(fmt.Sprintf("experiments: job %s: %s", x.ID, x.Err))
-		}
-	}
-	return res
 }

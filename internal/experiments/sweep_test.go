@@ -13,7 +13,7 @@ import (
 
 // TestParallelSweepMatchesSerialJSON is the harness's core promise: an
 // 8-worker Figure 7 sweep produces byte-identical results (as canonical
-// JSON) to the single-worker serial path.
+// JSON) to a one-worker sweep.
 func TestParallelSweepMatchesSerialJSON(t *testing.T) {
 	jobs := Figure7Jobs(tiny, []int{1, 2}, []float64{100, 200})
 
@@ -87,7 +87,7 @@ func TestSimulateCancellation(t *testing.T) {
 // TestFigure3Suite exercises the fig3 job kind end to end: the aux payload
 // decodes to the cache sweep and the hit ratio grows with cache size.
 func TestFigure3Suite(t *testing.T) {
-	res := runSerial(Figure3Jobs(tiny, 50000))
+	res := runJobs(t, Figure3Jobs(tiny, 50000))
 	pts, err := Fig3Points(res[0])
 	if err != nil {
 		t.Fatal(err)

@@ -16,16 +16,6 @@ import (
 // as that job's failure without killing the pool.
 type RunFunc func(ctx context.Context, job Job) (Outcome, error)
 
-// RunnerStats counts what a sweep's results cannot show on their own.
-// Fresh, cached and failed points are visible in the returned []Result;
-// a failed store write is not, since the result is still reported.
-type RunnerStats struct {
-	// StoreErrors is the number of results whose persistence failed. A store
-	// error degrades resumability, not correctness — the result is still
-	// reported — but a nonzero count means a resume would re-simulate.
-	StoreErrors int64
-}
-
 // Runner executes sweeps over a worker pool.
 type Runner struct {
 	// Run executes one job. Required.
@@ -34,40 +24,21 @@ type Runner struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
 
-	// Timeout bounds each job's execution; 0 means no per-job timeout. A
-	// diverging simulation fails its own job (deadline exceeded), not the
-	// sweep.
-	Timeout time.Duration
-
-	// Store, when non-nil, serves previously completed jobs by hash and
-	// persists fresh successes, making sweeps resumable across processes.
-	Store *Store
-
-	// OnResult, when non-nil, observes every result as it settles (cache
+	// OnResult, when non-nil, observes every result as it settles (memo
 	// hits included). Calls are serialized.
 	OnResult func(Result)
 
-	mu    sync.Mutex        // guards memo and stats
-	memo  map[string]Result // in-process cache of successes, by hash
-	stats RunnerStats
-}
-
-// Stats returns a snapshot of the runner's counters. Updates are
-// serialized the same way OnResult calls are, so a snapshot taken after
-// Sweep returns is complete.
-func (r *Runner) Stats() RunnerStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	mu   sync.Mutex        // guards memo
+	memo map[string]Result // in-process cache of successes, by hash
 }
 
 // Sweep executes all jobs and returns results aligned with the input order.
-// Jobs sharing a spec hash are simulated once. Failed jobs (error, panic,
-// timeout) are reported in their Result and do not stop the sweep. When ctx
-// is canceled, in-flight jobs are stopped, unstarted jobs are marked
-// canceled, and the returned error is ctx's error; everything already
-// completed is in the results (and the store, if one is attached), so a
-// re-run resumes from where the sweep stopped.
+// Jobs sharing a spec hash are simulated once, and a point this Runner
+// already simulated in an earlier Sweep is served from its memo. Failed jobs
+// (error, panic) are reported in their Result and do not stop the sweep.
+// When ctx is canceled, in-flight jobs are stopped, unstarted jobs are
+// marked canceled, and the returned error is ctx's error; everything
+// already completed is in the results.
 func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 	if r.Run == nil {
 		return nil, fmt.Errorf("sweep: Runner.Run is nil")
@@ -93,13 +64,6 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 				r.memo = map[string]Result{}
 			}
 			r.memo[res.Hash] = res
-			if r.Store != nil && !res.Cached {
-				if err := r.Store.Put(res); err != nil {
-					// Persistence failure degrades resumability, not
-					// correctness; it is surfaced through StoreErrors.
-					r.stats.StoreErrors++
-				}
-			}
 		}
 		for _, i := range idxByHash[res.Hash] {
 			rr := res
@@ -113,10 +77,13 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 		r.mu.Unlock()
 	}
 
-	// Serve cached hashes; collect the rest.
+	// Serve memoized hashes; collect the rest.
 	var pending []string
 	for _, h := range order {
-		if res, ok := r.cached(h); ok {
+		r.mu.Lock()
+		res, ok := r.memo[h]
+		r.mu.Unlock()
+		if ok {
 			res.Cached = true
 			settle(res)
 			continue
@@ -139,7 +106,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for h := range ch {
-				settle(execute(ctx, r.Run, jobs[idxByHash[h][0]], h, r.Timeout))
+				settle(execute(ctx, r.Run, jobs[idxByHash[h][0]], h))
 			}
 		}()
 	}
@@ -168,26 +135,10 @@ dispatch:
 	return results, ctx.Err()
 }
 
-// cached consults the in-process memo, then the store.
-func (r *Runner) cached(hash string) (Result, bool) {
-	r.mu.Lock()
-	res, ok := r.memo[hash]
-	r.mu.Unlock()
-	if ok {
-		return res, true
-	}
-	if r.Store != nil {
-		if res, ok := r.Store.Get(hash); ok && res.OK() {
-			return res, true
-		}
-	}
-	return Result{}, false
-}
-
-// execute runs a single job, whose spec hashes to hash, with a per-job
-// timeout and panic isolation: a panicking run fails its own Result (stack
-// attached) instead of crashing the pool.
-func execute(ctx context.Context, run RunFunc, job Job, hash string, timeout time.Duration) (res Result) {
+// execute runs a single job, whose spec hashes to hash, with panic
+// isolation: a panicking run fails its own Result (stack attached) instead
+// of crashing the pool.
+func execute(ctx context.Context, run RunFunc, job Job, hash string) (res Result) {
 	res = Result{ID: job.ID, Hash: hash, Spec: job.Spec}
 	start := time.Now() //nic:wallclock ElapsedSec reports real job duration
 	defer func() {
@@ -197,13 +148,7 @@ func execute(ctx context.Context, run RunFunc, job Job, hash string, timeout tim
 			res.Err = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	jctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	out, err := run(jctx, job)
+	out, err := run(ctx, job)
 	if err != nil {
 		res.Err = err.Error()
 		return res

@@ -1,18 +1,17 @@
 // Package sweep is the experiment-orchestration harness: it turns the
 // paper's evaluation sweeps (the Figure 7 cores × MHz grid, the Figure 8
 // datagram-size sweep, the design ablations) into sets of declarative jobs
-// executed by a worker pool, with a resumable content-addressed result
-// store and regression gating against committed golden baselines.
+// executed by a worker pool, with regression gating against committed
+// golden baselines.
 //
 // The shape follows the evaluation stacks of multi-configuration
 // packet-processing studies: every configuration point is an independent,
 // deterministic simulation, so a sweep is embarrassingly parallel and its
-// results are cacheable by a content hash of the configuration. A Job names
+// results are identified by a content hash of the configuration. A Job names
 // one point; a Runner executes jobs across GOMAXPROCS-aware workers with
-// cancellation, per-job timeouts, and panic isolation; a Store persists one
-// JSON result per line keyed by job hash so interrupted sweeps resume where
-// they stopped; Compare gates fresh results against golden baselines within
-// declared tolerances.
+// cancellation and panic isolation, simulating each hash once per Runner;
+// Compare gates fresh results against golden baselines within declared
+// tolerances.
 package sweep
 
 import (
@@ -82,12 +81,12 @@ type Spec struct {
 }
 
 // specSchema is folded into every hash so that incompatible changes to the
-// meaning of a Spec invalidate previously stored results.
+// meaning of a Spec change every hash, and with it every baseline key.
 const specSchema = "sweep-spec-v1"
 
 // Hash returns the stable content hash of the spec. Two jobs with equal
-// hashes are the same simulation; the runner deduplicates them and the
-// store serves either from the other's cached result.
+// hashes are the same simulation; the runner deduplicates them and serves
+// either from the other's memoized result.
 func (s Spec) Hash() string {
 	b, err := json.Marshal(s)
 	if err != nil {
@@ -116,7 +115,6 @@ type Outcome struct {
 }
 
 // Result is one finished job: the outcome plus identity and provenance.
-// Results serialize one-per-line into the JSONL store.
 type Result struct {
 	ID         string          `json:"id"`
 	Hash       string          `json:"hash"`
@@ -126,8 +124,8 @@ type Result struct {
 	Err        string          `json:"err,omitempty"`
 	ElapsedSec float64         `json:"elapsed_sec"`
 
-	// Cached is true when the result was served from the store or the
-	// runner's in-memory memo rather than simulated. Not persisted.
+	// Cached is true when the result was served from the runner's memo
+	// rather than simulated. Not serialized.
 	Cached bool `json:"-"`
 }
 
@@ -136,7 +134,7 @@ func (r Result) OK() bool { return r.Err == "" }
 
 // Canonical returns a copy with provenance fields (elapsed wall time, cache
 // flag) zeroed, so results from different executions of the same jobs —
-// serial vs parallel, fresh vs resumed — compare byte-identical under
+// serial vs parallel, simulated vs memoized — compare byte-identical under
 // json.Marshal.
 func (r Result) Canonical() Result {
 	r.ElapsedSec = 0

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -49,8 +47,7 @@ func TestHashStableAndDistinct(t *testing.T) {
 	if a.Hash() == c.Hash() {
 		t.Fatal("different specs must hash differently")
 	}
-	// The hash is part of the on-disk store format: lock its value for one
-	// known spec so accidental schema drift is caught.
+	// Hashes are 24 hex digits; the baseline file keys its points by them.
 	if h := a.Hash(); len(h) != 24 {
 		t.Fatalf("hash length = %d, want 24", len(h))
 	}
@@ -111,30 +108,6 @@ func TestPanicFailsJobNotPool(t *testing.T) {
 	}
 }
 
-func TestTimeoutFailsOnlySlowJob(t *testing.T) {
-	run := func(ctx context.Context, j Job) (Outcome, error) {
-		if j.Spec.Cores == 2 {
-			<-ctx.Done() // cooperative: a hung sim spins until the watchdog stops it
-			return Outcome{}, ctx.Err()
-		}
-		return fakeRun(nil)(ctx, j)
-	}
-	r := &Runner{Run: run, Workers: 2, Timeout: 20 * time.Millisecond}
-	rs, err := r.Sweep(context.Background(), grid(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range rs {
-		if res.Spec.Cores == 2 {
-			if res.OK() || !strings.Contains(res.Err, "deadline") {
-				t.Errorf("slow job: err = %q, want deadline exceeded", res.Err)
-			}
-		} else if !res.OK() {
-			t.Errorf("job %s failed: %s", res.ID, res.Err)
-		}
-	}
-}
-
 func TestDuplicateSpecsSimulateOnce(t *testing.T) {
 	var runs atomic.Int64
 	jobs := append(grid(3), grid(3)...) // same three specs twice
@@ -156,35 +129,19 @@ func TestDuplicateSpecsSimulateOnce(t *testing.T) {
 	}
 }
 
-func TestStoreCacheHitSkipsSimulation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, StoreFileName)
+// TestMemoHitSkipsSimulation: a second Sweep on the same Runner serves the
+// points it already simulated from the memo and simulates only the new one.
+func TestMemoHitSkipsSimulation(t *testing.T) {
 	var runs atomic.Int64
-
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Run: fakeRun(&runs), Workers: 2, Store: st}
+	r := &Runner{Run: fakeRun(&runs), Workers: 2}
 	if _, err := r.Sweep(context.Background(), grid(5)); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 5 {
 		t.Fatalf("first sweep runs = %d, want 5", runs.Load())
 	}
-	st.Close()
 
-	// Fresh process: reopen the store, re-run the sweep plus one new point.
-	st2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 5 {
-		t.Fatalf("reopened store has %d results, want 5", st2.Len())
-	}
-	r2 := &Runner{Run: fakeRun(&runs), Workers: 2, Store: st2}
-	rs, err := r2.Sweep(context.Background(), grid(6))
+	rs, err := r.Sweep(context.Background(), grid(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +159,11 @@ func TestStoreCacheHitSkipsSimulation(t *testing.T) {
 	}
 }
 
-func TestCancellationLeavesValidResumableStore(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, StoreFileName)
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCancellationKeepsFinishedResults: canceling mid-sweep returns ctx's
+// error, keeps every finished result, and marks the undispatched jobs
+// "canceled before start". The benchmark's set-up probe cancels a sweep
+// after its first result and relies on exactly this.
+func TestCancellationKeepsFinishedResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var runs atomic.Int64
 	run := func(rctx context.Context, j Job) (Outcome, error) {
@@ -218,7 +173,7 @@ func TestCancellationLeavesValidResumableStore(t *testing.T) {
 		}
 		return out, nil
 	}
-	r := &Runner{Run: run, Workers: 1, Store: st}
+	r := &Runner{Run: run, Workers: 1}
 	rs, err := r.Sweep(ctx, grid(10))
 	if err == nil {
 		t.Fatal("expected context error from canceled sweep")
@@ -227,40 +182,12 @@ func TestCancellationLeavesValidResumableStore(t *testing.T) {
 	for _, res := range rs {
 		if res.OK() {
 			done++
+		} else if res.Err != "canceled before start" {
+			t.Errorf("job %s: err = %q, want canceled before start", res.ID, res.Err)
 		}
 	}
 	if done >= 10 || done < 3 {
 		t.Fatalf("completed jobs = %d, want partial (3..9)", done)
-	}
-	st.Close()
-
-	// Simulate an interrupt mid-write on top: a torn trailing line must not
-	// poison the store.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"id":"torn","hash":"deadbeef","spec":{"kind":"nic"`)
-	f.Close()
-
-	st2, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != done {
-		t.Fatalf("resumed store has %d results, want %d", st2.Len(), done)
-	}
-	runs.Store(0)
-	r2 := &Runner{Run: fakeRun(&runs), Workers: 2, Store: st2}
-	rs2, err := r2.Sweep(context.Background(), grid(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range rs2 {
-		if !res.OK() {
-			t.Errorf("resumed job %s failed: %s", res.ID, res.Err)
-		}
-	}
-	if got := runs.Load(); got != int64(10-done) {
-		t.Errorf("resume ran %d jobs, want %d (finished jobs must not re-simulate)", got, 10-done)
 	}
 }
 
