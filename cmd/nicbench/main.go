@@ -63,7 +63,6 @@ func run() int {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		latency    = flag.Bool("latency", false, "observe frame lifecycles (latency section in reports; incompatible with -check/-update-baseline)")
 
 		canonical = flag.Bool("canonical", false, "canonicalize -json results (zero wall times) for byte-exact comparison across runs")
 	)
@@ -105,15 +104,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "nicbench:", err)
 			}
 		}()
-	}
-	if *latency {
-		if *check || *update {
-			// Observation adds a latency section to every report, which would
-			// perturb the byte-exact baseline comparison.
-			fmt.Fprintln(os.Stderr, "nicbench: -latency cannot be combined with -check or -update-baseline")
-			return 2
-		}
-		experiments.Observe = true
 	}
 
 	b := experiments.Full
@@ -270,11 +260,11 @@ func selectSuites(table, figure int, ablation, suiteList string, all, gateDefaul
 	default:
 		return nil, fmt.Errorf("no figure %d (have 3, 7, 8)", figure)
 	}
-	if strings.Contains(ablation, "a") {
-		want["ablation-a"] = true
-	}
-	if strings.Contains(ablation, "b") {
-		want["ablation-b"] = true
+	for _, c := range ablation {
+		if c != 'a' && c != 'b' {
+			return nil, fmt.Errorf("no ablation %q (have a, b)", ablation)
+		}
+		want["ablation-"+string(c)] = true
 	}
 	for _, k := range strings.Split(suiteList, ",") {
 		k = strings.TrimSpace(k)

@@ -33,6 +33,9 @@ func TestSelectSuites(t *testing.T) {
 		{name: "figure5", args: args{figure: 5}, wantErr: "no figure 5"},
 		{name: "ablation-ab", args: args{ablation: "ab"}, want: []string{"ablation-a", "ablation-b"}},
 		{name: "ablation-b", args: args{ablation: "b"}, want: []string{"ablation-b"}},
+		{name: "ablation-ba", args: args{ablation: "ba"}, want: []string{"ablation-a", "ablation-b"}},
+		{name: "ablation-c", args: args{ablation: "c"}, wantErr: `no ablation "c"`},
+		{name: "ablation-banana", args: args{ablation: "banana"}, wantErr: `no ablation "banana"`},
 		{name: "unknown-suite", args: args{suites: "gate,nope"}, wantErr: `unknown suite "nope"`},
 		{name: "check-default", args: args{gate: true}, want: []string{"robustness", "rss", "gate"}},
 		{name: "check-named", args: args{table: 3, gate: true}, want: []string{"table3"}},

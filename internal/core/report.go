@@ -239,14 +239,6 @@ type FuncBreakdown struct {
 	Total     FuncRow `json:"total"`
 }
 
-func sub(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 func (n *NIC) report(end snapshot) Report {
 	base := n.baseline
 	secs := n.measured.Seconds()

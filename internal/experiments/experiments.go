@@ -125,13 +125,13 @@ func PrintTable2(w io.Writer, tr []trace.Inst) {
 // ---------------------------------------------------------------------------
 
 // figure3Collect is the Figure 3 job body. It captures per-processor
-// metadata traces from a six-core run (DMA assists interleaved into one
-// cache, MAC assists into another, matching the paper's workaround for
-// SMPCache's eight-cache limit) and sweeps fully-associative MESI caches
-// from 16 B to 32 KB, with cooperative cancellation.
-func figure3Collect(ctx context.Context, b Budget, maxRefs int) ([]smpcache.SweepPoint, core.Report, error) {
-	n := core.New(core.DefaultConfig())
-	n.AttachWorkload(1472, false)
+// metadata traces from a run of cfg (DMA assists interleaved into one cache,
+// MAC assists into another, matching the paper's workaround for SMPCache's
+// eight-cache limit) and sweeps fully-associative MESI caches from 16 B to
+// 32 KB, with cooperative cancellation. The paper's point is six cores.
+func figure3Collect(ctx context.Context, cfg core.Config, udpSize int, b Budget, maxRefs int) ([]smpcache.SweepPoint, core.Report, error) {
+	n := core.New(cfg)
+	n.AttachWorkload(udpSize, false)
 	traces := n.EnableTracing(maxRefs)
 	defer watchdog(ctx, n.Engine)()
 	r := n.Run(b.Warmup, b.Measure)
@@ -148,16 +148,17 @@ func figure3Collect(ctx context.Context, b Budget, maxRefs int) ([]smpcache.Swee
 		}
 		return out
 	}
+	cores := cfg.Cores
 	var refs []trace.MemRef
-	for p := 0; p < 6; p++ {
+	for p := 0; p < cores; p++ {
 		for _, r := range meta(*traces[p]) {
 			r.Proc = p
 			refs = append(refs, r)
 		}
 	}
-	refs = append(refs, trace.Interleave(6, meta(*traces[6]), meta(*traces[7]))...)
-	refs = append(refs, trace.Interleave(7, meta(*traces[8]), meta(*traces[9]))...)
-	return smpcache.Sweep(refs, 8, 16, smpcache.PaperSizes()), r, nil
+	refs = append(refs, trace.Interleave(cores, meta(*traces[cores]), meta(*traces[cores+1]))...)
+	refs = append(refs, trace.Interleave(cores+1, meta(*traces[cores+2]), meta(*traces[cores+3]))...)
+	return smpcache.Sweep(refs, cores+2, 16, smpcache.PaperSizes()), r, nil
 }
 
 // PrintFigure3 renders the hit-ratio curve.

@@ -142,11 +142,14 @@ func TrafficMatrix() []MatrixPoint {
 }
 
 // RobustnessJobs enumerates the adversarial matrix: every point clean and
-// then under its paired fault plan, with the same SLO armed on both.
+// then under its paired fault plan, with the same SLO armed on both. The
+// jumbo point runs on a jumbo-capable build.
 func RobustnessJobs(b Budget) []sweep.Job {
 	var jobs []sweep.Job
 	for _, pt := range TrafficMatrix() {
-		spec := SpecFor(core.DefaultConfig(), pt.UDPSize, b)
+		cfg := core.DefaultConfig()
+		cfg.JumboFrames = pt.Traffic.Class == workload.ClassJumbo
+		spec := SpecFor(cfg, pt.UDPSize, b)
 		t := pt.Traffic
 		spec.Traffic = &t
 		s := pt.SLO

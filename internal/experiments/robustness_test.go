@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -14,10 +15,10 @@ import (
 // (omitempty) fields like Traffic/SLO must NOT change the hash of specs that
 // leave them unset — these constants are the proof.
 func TestSpecHashStability(t *testing.T) {
-	if got := SpecFor(core.DefaultConfig(), 1472, Quick).Hash(); got != "b27d0780072c28df09d2d97a" {
+	if got := SpecFor(core.DefaultConfig(), 1472, Quick).Hash(); got != "734783e9a54f0e58f083084e" {
 		t.Errorf("SpecFor(DefaultConfig, 1472, Quick).Hash() = %s; committed baselines no longer match their specs", got)
 	}
-	if got := SpecFor(core.RMWConfig(), 400, Full).Hash(); got != "ce472c58c3130bea9b53cffc" {
+	if got := SpecFor(core.RMWConfig(), 400, Full).Hash(); got != "f733ae78c24cec73472bd8bc" {
 		t.Errorf("SpecFor(RMWConfig, 400, Full).Hash() = %s; committed baselines no longer match their specs", got)
 	}
 }
@@ -51,6 +52,17 @@ func TestSpecHashSensitivity(t *testing.T) {
 	traffic2.Traffic = &ts2
 	if traffic2.Hash() == traffic.Hash() {
 		t.Error("different traffic seeds hash identically")
+	}
+
+	jumbo := core.DefaultConfig()
+	jumbo.JumboFrames = true
+	if SpecFor(jumbo, 1472, Quick).Hash() == h0 {
+		t.Error("specs differing only in JumboFrames hash identically")
+	}
+	oneQueue := core.DefaultConfig()
+	oneQueue.RxQueues = 1
+	if SpecFor(oneQueue, 1472, Quick).Hash() == h0 {
+		t.Error("specs differing only in RxQueues 0 vs 1 hash identically")
 	}
 }
 
@@ -91,13 +103,11 @@ func TestRobustnessJobsShape(t *testing.T) {
 		seen[clean.Spec.Hash()] = true
 		seen[faulted.Spec.Hash()] = true
 
-		cfg, err := ConfigFor(clean.Spec)
-		if err != nil {
-			t.Fatalf("%s: ConfigFor: %v", pt.Name, err)
-		}
 		wantJumbo := pt.Traffic.Class == workload.ClassJumbo
-		if cfg.JumboFrames != wantJumbo {
-			t.Errorf("%s: ConfigFor JumboFrames = %v, want %v", pt.Name, cfg.JumboFrames, wantJumbo)
+		for _, j := range []sweep.Job{clean, faulted} {
+			if j.Spec.Cfg.JumboFrames != wantJumbo {
+				t.Errorf("%s: Spec.Cfg.JumboFrames = %v, want %v", j.ID, j.Spec.Cfg.JumboFrames, wantJumbo)
+			}
 		}
 		if !pt.SLO.NeedsLatency() {
 			t.Errorf("%s: matrix SLO has no latency bound — the gate would not exercise the tails", pt.Name)

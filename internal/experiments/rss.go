@@ -20,9 +20,9 @@ const rssFlows = 64
 
 // RSSJobs enumerates the RSS sweep: every queue count crossed with every
 // steering policy on a multi-flow uniform stream, three hostile crossover
-// points from the PR 7 traffic matrix at representative queue counts, and
-// the single-queue collapse point whose spec (and therefore hash and report)
-// is identical to the seed's single-ring controller under the same traffic.
+// points from the robustness traffic matrix at representative queue counts,
+// and the single-queue collapse point, a one-queue controller whose metrics
+// equal the single-ring controller's under the same traffic.
 func RSSJobs(b Budget) []sweep.Job {
 	var jobs []sweep.Job
 	add := func(id string, queues int, steering string, udpSize int, t workload.TrafficSpec) {

@@ -9,100 +9,30 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/firmware"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/smpcache"
 	"repro/internal/sweep"
-	"repro/internal/workload"
-)
-
-// Spec ordering and parallelism encodings (sweep.Spec is pure data; the
-// firmware enum values stay internal to the simulator).
-const (
-	OrderingSoftware = "sw"
-	OrderingRMW      = "rmw"
-	ParFrame         = "frame"
-	ParTask          = "task"
 )
 
 // SpecFor declares the sweep job spec for one controller configuration,
-// workload, and budget. Only the knobs the evaluation sweeps over are
-// encoded; everything else is pinned to the paper's operating point by
-// ConfigFor. Seed is reserved for stochastic workloads — the current
-// full-duplex UDP streams are deterministic, so it stays zero.
+// workload, and budget.
 func SpecFor(cfg core.Config, udpSize int, b Budget) sweep.Spec {
-	ord := OrderingSoftware
-	if cfg.Ordering == firmware.RMWEnhanced {
-		ord = OrderingRMW
+	return sweep.Spec{
+		Kind:      sweep.KindNIC,
+		Cfg:       cfg,
+		UDPSize:   udpSize,
+		WarmupPs:  uint64(b.Warmup),
+		MeasurePs: uint64(b.Measure),
 	}
-	par := ParFrame
-	if cfg.Parallelism == firmware.TaskParallel {
-		par = ParTask
-	}
-	s := sweep.Spec{
-		Kind:        sweep.KindNIC,
-		Cores:       cfg.Cores,
-		MHz:         cfg.CPUMHz,
-		Banks:       cfg.ScratchpadBanks,
-		Ordering:    ord,
-		Parallelism: par,
-		UDPSize:     udpSize,
-		WarmupPs:    uint64(b.Warmup),
-		MeasurePs:   uint64(b.Measure),
-	}
-	// A single receive queue is the seed's controller: the RSS fields stay
-	// zero/empty so the spec hash matches every pre-RSS baseline.
-	if cfg.RxQueues > 1 {
-		s.RxQueues = cfg.RxQueues
-		s.Steering = cfg.Steering
-	}
-	return s
 }
 
-// ConfigFor reconstructs the controller configuration a spec declares,
-// starting from the paper's default operating point.
+// ConfigFor returns the controller configuration a spec declares, failing
+// when Validate rejects it.
 func ConfigFor(s sweep.Spec) (core.Config, error) {
-	cfg := core.DefaultConfig()
-	if s.Cores > 0 {
-		cfg.Cores = s.Cores
-	}
-	if s.MHz > 0 {
-		cfg.CPUMHz = s.MHz
-	}
-	if s.Banks > 0 {
-		cfg.ScratchpadBanks = s.Banks
-	}
-	switch s.Ordering {
-	case "", OrderingSoftware:
-		cfg.Ordering = firmware.SoftwareOnly
-	case OrderingRMW:
-		cfg.Ordering = firmware.RMWEnhanced
-	default:
-		return core.Config{}, fmt.Errorf("experiments: unknown ordering %q", s.Ordering)
-	}
-	switch s.Parallelism {
-	case "", ParFrame:
-		cfg.Parallelism = firmware.FrameParallel
-	case ParTask:
-		cfg.Parallelism = firmware.TaskParallel
-	default:
-		return core.Config{}, fmt.Errorf("experiments: unknown parallelism %q", s.Parallelism)
-	}
-	if s.RxQueues > 0 {
-		cfg.RxQueues = s.RxQueues
-	}
-	if s.Steering != "" {
-		cfg.Steering = s.Steering
-	}
-	// The jumbo traffic class implies a jumbo-capable build: wider MAC
-	// admission limit and firmware buffer slots.
-	if s.Traffic != nil && s.Traffic.Class == workload.ClassJumbo {
-		cfg.JumboFrames = true
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := s.Cfg.Validate(); err != nil {
 		return core.Config{}, fmt.Errorf("experiments: invalid spec: %w", err)
 	}
-	return cfg, nil
+	return s.Cfg, nil
 }
 
 // BudgetOf recovers the simulation budget a spec declares.
@@ -118,19 +48,19 @@ func Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
 	if b.Measure == 0 {
 		return sweep.Outcome{}, fmt.Errorf("experiments: job %s: zero measure window", j.ID)
 	}
+	cfg, err := ConfigFor(j.Spec)
+	if err != nil {
+		return sweep.Outcome{}, err
+	}
 	switch j.Spec.Kind {
 	case sweep.KindNIC, "":
-		cfg, err := ConfigFor(j.Spec)
-		if err != nil {
-			return sweep.Outcome{}, err
-		}
 		r, err := simulate(ctx, cfg, j.Spec, b)
 		if err != nil {
 			return sweep.Outcome{}, err
 		}
 		return sweep.Outcome{Report: &r}, nil
 	case sweep.KindFig3:
-		pts, r, err := figure3Collect(ctx, b, j.Spec.MaxRefs)
+		pts, r, err := figure3Collect(ctx, cfg, j.Spec.UDPSize, b, j.Spec.MaxRefs)
 		if err != nil {
 			return sweep.Outcome{}, err
 		}
@@ -143,13 +73,6 @@ func Simulate(ctx context.Context, j sweep.Job) (sweep.Outcome, error) {
 		return sweep.Outcome{}, fmt.Errorf("experiments: unknown job kind %q", j.Spec.Kind)
 	}
 }
-
-// Observe, when set before a sweep starts, enables frame-lifecycle latency
-// observation on every simulated job: each report gains a Latency section
-// (percentiles and per-stage residency). Observation is passive — every other
-// report field is unchanged — but because the Latency section alters the
-// report JSON, sweeps comparing against stored baselines must leave it off.
-var Observe bool
 
 // simulate runs one spec with cooperative cancellation, attaching the
 // adversarial traffic class, fault plan, and SLO the spec declares (if any)
@@ -172,9 +95,6 @@ func simulate(ctx context.Context, cfg core.Config, s sweep.Spec, b Budget) (cor
 		if err := n.AttachSLO(*s.SLO); err != nil {
 			return core.Report{}, err
 		}
-	}
-	if Observe {
-		n.EnableObs(obs.Config{})
 	}
 	defer watchdog(ctx, n.Engine)()
 	r := n.Run(b.Warmup, b.Measure)
@@ -607,8 +527,8 @@ func Fig7Points(results []sweep.Result) ([]Fig7Point, error) {
 	out := make([]Fig7Point, len(rs))
 	for i, r := range rs {
 		out[i] = Fig7Point{
-			Cores:     results[i].Spec.Cores,
-			MHz:       results[i].Spec.MHz,
+			Cores:     results[i].Spec.Cfg.Cores,
+			MHz:       results[i].Spec.Cfg.CPUMHz,
 			TotalGbps: r.TotalGbps,
 			Fraction:  r.LineFraction,
 		}

@@ -3,12 +3,15 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/assist"
 	"repro/internal/core"
 	"repro/internal/firmware"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // TestParallelSweepMatchesSerialJSON is the harness's core promise: an
@@ -43,27 +46,66 @@ func TestParallelSweepMatchesSerialJSON(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip checks that SpecFor/ConfigFor are inverse on the knobs
-// the sweeps vary.
+// TestSpecRoundTrip checks that a job runs exactly the Config it was built
+// from: every Config field survives SpecFor, a JSON round trip of the spec,
+// and ConfigFor, as do the datagram size and the budget.
 func TestSpecRoundTrip(t *testing.T) {
-	cfg := core.RMWConfig()
-	cfg.Cores = 4
-	cfg.ScratchpadBanks = 2
-	cfg.Parallelism = firmware.TaskParallel
-	s := SpecFor(cfg, 800, Quick)
-	got, err := ConfigFor(s)
-	if err != nil {
-		t.Fatal(err)
+	with := func(edit func(*core.Config)) core.Config {
+		c := core.DefaultConfig()
+		edit(&c)
+		return c
 	}
-	if got.Cores != 4 || got.CPUMHz != 166 || got.ScratchpadBanks != 2 ||
-		got.Ordering != firmware.RMWEnhanced || got.Parallelism != firmware.TaskParallel {
-		t.Errorf("round-trip config = %+v", got)
+	uniform := workload.TrafficSpec{Class: workload.ClassUniform, Seed: 1}
+	type roundTrip struct {
+		name    string
+		cfg     core.Config
+		traffic *workload.TrafficSpec
 	}
-	if b := BudgetOf(s); b != Quick {
-		t.Errorf("round-trip budget = %+v", b)
+	cases := []roundTrip{
+		{name: "default", cfg: core.DefaultConfig()},
+		{name: "rmw", cfg: core.RMWConfig()},
+		{name: "cores-mhz", cfg: with(func(c *core.Config) { c.Cores, c.CPUMHz = 4, 175 })},
+		{name: "banks", cfg: with(func(c *core.Config) { c.ScratchpadBanks = 2 })},
+		{name: "task-parallel", cfg: with(func(c *core.Config) { c.Parallelism = firmware.TaskParallel })},
+		{name: "jumbo-uniform", cfg: with(func(c *core.Config) { c.JumboFrames = true }), traffic: &uniform},
 	}
-	if s.UDPSize != 800 {
-		t.Errorf("udp size = %d", s.UDPSize)
+	for _, q := range []int{1, 8} {
+		for _, st := range assist.SteeringNames {
+			cases = append(cases, roundTrip{
+				name: fmt.Sprintf("q%d-%s", q, st),
+				cfg:  with(func(c *core.Config) { c.RxQueues, c.Steering = q, st }),
+			})
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := SpecFor(tc.cfg, 800, Quick)
+			s.Traffic = tc.traffic
+			b, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back sweep.Spec
+			if err := json.Unmarshal(b, &back); err != nil {
+				t.Fatal(err)
+			}
+			if back.Hash() != s.Hash() {
+				t.Errorf("JSON round trip moved the hash: %s -> %s", s.Hash(), back.Hash())
+			}
+			got, err := ConfigFor(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.cfg {
+				t.Errorf("round-trip config = %+v, want %+v", got, tc.cfg)
+			}
+			if bud := BudgetOf(back); bud != Quick {
+				t.Errorf("round-trip budget = %+v", bud)
+			}
+			if back.UDPSize != 800 {
+				t.Errorf("udp size = %d", back.UDPSize)
+			}
+		})
 	}
 }
 

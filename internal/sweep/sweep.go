@@ -35,29 +35,17 @@ const (
 
 // Spec declares one configuration point. It is pure data: everything needed
 // to reconstruct the simulation is in the spec, so its content hash
-// identifies the result. Zero-valued fields mean "the default operating
-// point" for that knob.
+// identifies the result.
 //
-//nic:hashstable f53da55742db
+//nic:hashstable 45f8fb93943e
 type Spec struct {
 	Kind string `json:"kind"`
 
-	// Controller build point.
-	Cores       int     `json:"cores"`
-	MHz         float64 `json:"mhz"`
-	Banks       int     `json:"banks"`
-	Ordering    string  `json:"ordering"`    // "sw" | "rmw"
-	Parallelism string  `json:"parallelism"` // "frame" | "task"
+	// Cfg is the controller build point, run exactly as given.
+	Cfg core.Config `json:"cfg"`
 
-	// Workload.
-	UDPSize int   `json:"udp_size"`
-	Seed    int64 `json:"seed"`
-
-	// RxQueues and Steering select the RSS multi-queue receive build point.
-	// Zero/empty is the seed's single-ring controller and is omitted from the
-	// JSON encoding, so every pre-existing spec hash is unchanged.
-	RxQueues int    `json:"rx_queues,omitempty"`
-	Steering string `json:"steering,omitempty"`
+	// UDPSize is the datagram payload of the workload.
+	UDPSize int `json:"udp_size"`
 
 	// Simulation budget, picoseconds of simulated time.
 	WarmupPs  uint64 `json:"warmup_ps"`

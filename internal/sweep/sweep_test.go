@@ -19,8 +19,7 @@ func fakeRun(runs *atomic.Int64) RunFunc {
 		if runs != nil {
 			runs.Add(1)
 		}
-		r := &core.Report{TotalGbps: float64(j.Spec.Cores) * j.Spec.MHz / 100, IPC: 0.7}
-		r.Cfg.Cores = j.Spec.Cores
+		r := &core.Report{Cfg: j.Spec.Cfg, TotalGbps: float64(j.Spec.Cfg.Cores) * j.Spec.Cfg.CPUMHz / 100, IPC: 0.7}
 		return Outcome{Report: r}, nil
 	}
 }
@@ -28,22 +27,24 @@ func fakeRun(runs *atomic.Int64) RunFunc {
 func grid(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
+		cfg := core.DefaultConfig()
+		cfg.Cores = i + 1
 		jobs[i] = Job{
 			ID:   fmt.Sprintf("grid/c%d", i+1),
-			Spec: Spec{Kind: KindNIC, Cores: i + 1, MHz: 200, Banks: 4, UDPSize: 1472, Ordering: "sw", Parallelism: "frame"},
+			Spec: Spec{Kind: KindNIC, Cfg: cfg, UDPSize: 1472},
 		}
 	}
 	return jobs
 }
 
 func TestHashStableAndDistinct(t *testing.T) {
-	a := Spec{Kind: KindNIC, Cores: 6, MHz: 200}
-	b := Spec{Kind: KindNIC, Cores: 6, MHz: 200}
+	a := Spec{Kind: KindNIC, Cfg: core.DefaultConfig()}
+	b := Spec{Kind: KindNIC, Cfg: core.DefaultConfig()}
 	if a.Hash() != b.Hash() {
 		t.Fatal("equal specs must hash equal")
 	}
 	c := a
-	c.MHz = 166
+	c.Cfg.CPUMHz = 166
 	if a.Hash() == c.Hash() {
 		t.Fatal("different specs must hash differently")
 	}
@@ -82,7 +83,7 @@ func canon(rs []Result) []Result {
 
 func TestPanicFailsJobNotPool(t *testing.T) {
 	run := func(ctx context.Context, j Job) (Outcome, error) {
-		if j.Spec.Cores == 3 {
+		if j.Spec.Cfg.Cores == 3 {
 			panic("diverging simulation")
 		}
 		return fakeRun(nil)(ctx, j)
