@@ -39,7 +39,7 @@ func newRig() *rig { return newRigWired(true) }
 // Otherwise they hide behind plain TickFuncs and tick on every edge.
 func newRigWired(sleep bool) *rig {
 	r := &rig{
-		sp:    mem.NewScratchpad(256*1024, 4),
+		sp:    mem.NewScratchpad(4),
 		xbar:  mem.NewCrossbar(4, 4),
 		sdram: mem.NewSDRAM(),
 		h:     host.New(host.DefaultConfig(), 1),
@@ -87,7 +87,7 @@ func TestMACFrequencyIsLineRate(t *testing.T) {
 }
 
 func TestScratchPortOneAccessPerCycle(t *testing.T) {
-	sp := mem.NewScratchpad(4096, 4)
+	sp := mem.NewScratchpad(4)
 	xbar := mem.NewCrossbar(1, 4)
 	p := NewScratchPort(sp, xbar, 0, 0)
 	done := 0

@@ -25,9 +25,9 @@ import (
 
 // Config selects one controller build point: the axes the paper varies
 // (cores, clock, scratchpad banks, frame ordering, firmware organization)
-// plus the RSS and jumbo extensions. The rest of the part is fixed (see the
-// constants below, mem.NewSDRAM, host.DefaultConfig and the firmware's slot
-// counts), and the firmware runs the calibrated cost model
+// plus the RSS and jumbo extensions. The rest of the part is fixed (see mem's
+// geometry constants, mem.NewSDRAM, host.DefaultConfig and the firmware's
+// slot counts), and the firmware runs the calibrated cost model
 // (firmware.DefaultProfile).
 //
 //nic:hashstable 361272ef3890
@@ -56,18 +56,6 @@ type Config struct {
 	// paper's controller is standard-MTU.
 	JumboFrames bool `json:",omitempty"`
 }
-
-// The paper's fixed on-chip geometry: a 256 KB scratchpad, word-interleaved
-// across the configured banks, and a private 8 KB two-way instruction cache
-// per core with 32-byte lines, filled from the shared instruction memory in
-// two access cycles.
-const (
-	scratchpadBytes = 256 * 1024
-	icacheBytes     = 8192
-	icacheWays      = 2
-	icacheLine      = 32
-	imemAccessCy    = 2
-)
 
 // DefaultConfig is the paper's software-only operating point: six cores and
 // four scratchpad banks at 200 MHz.
@@ -168,10 +156,10 @@ func build(cfg Config, hcfg host.Config) *NIC {
 	}
 	n := &NIC{Cfg: cfg}
 
-	n.SP = mem.NewScratchpad(scratchpadBytes, cfg.ScratchpadBanks)
+	n.SP = mem.NewScratchpad(cfg.ScratchpadBanks)
 	n.Xbar = mem.NewCrossbar(cfg.Cores+4, cfg.ScratchpadBanks)
 	n.SDRAM = mem.NewSDRAM()
-	n.IMem = mem.NewInstrMemory(imemAccessCy, icacheLine)
+	n.IMem = mem.NewInstrMemory()
 	nq := max(cfg.RxQueues, 1)
 	n.Host = host.New(hcfg, nq)
 	n.Host.Free = &n.frames
@@ -220,8 +208,7 @@ func build(cfg Config, hcfg host.Config) *NIC {
 	n.FW = firmware.New(prof, n.SP, n.Host, n.As, cfg.Cores, slotBytes)
 
 	for i := 0; i < cfg.Cores; i++ {
-		ic := mem.NewICache(icacheBytes, icacheWays, icacheLine)
-		c := cpu.New(i, n.SP, n.Xbar, i, ic, n.IMem, firmware.NumAcct)
+		c := cpu.New(i, n.SP, n.Xbar, i, mem.NewICache(), n.IMem, firmware.NumAcct)
 		c.NextWork = n.FW.NextWorkFor(i)
 		n.Cores = append(n.Cores, c)
 	}

@@ -5,14 +5,15 @@ import (
 
 	"repro/internal/assist"
 	"repro/internal/firmware"
+	"repro/internal/mem"
 )
 
 // The envelope the model is calibrated for. The frame-parallel firmware's
 // reentrancy charge (firmware.Profile's SyncOrder and SyncLock costs, per
 // extra active core) is fitted to Figure 7's 1 to 8 cores at 100 to 800 MHz;
-// past it a result would extrapolate the fit. The crossbar's masks hold 63
-// banks, and the banks must word-interleave the fixed scratchpad, so they are
-// a power of two.
+// past it a result would extrapolate the fit. The scratchpad holds at most 32
+// banks, and words interleave across them by a mask, so their count is a
+// power of two.
 const (
 	maxCores = 8
 	minMHz   = 100
@@ -33,8 +34,8 @@ func (c Config) Validate() error {
 	if c.ScratchpadBanks <= 0 || c.ScratchpadBanks > maxBanks {
 		return fmt.Errorf("scratchpad banks must be 1 to %d, got %d", maxBanks, c.ScratchpadBanks)
 	}
-	if scratchpadBytes%(4*c.ScratchpadBanks) != 0 {
-		return fmt.Errorf("the %d B scratchpad is not word-interleavable across %d banks (use a power of two)", scratchpadBytes, c.ScratchpadBanks)
+	if c.ScratchpadBanks&(c.ScratchpadBanks-1) != 0 {
+		return fmt.Errorf("scratchpad banks must be a power of two, got %d (words interleave across the banks of the %d KB scratchpad)", c.ScratchpadBanks, mem.ScratchpadBytes/1024)
 	}
 	if c.Ordering != firmware.SoftwareOnly && c.Ordering != firmware.RMWEnhanced {
 		return fmt.Errorf("unknown frame ordering %d (use %d for %s or %d for %s)", c.Ordering,

@@ -15,13 +15,13 @@ import (
 // buffered stores, RMWs and short lock sections), recycled as the firmware
 // recycles its streams, so a steady-state edge allocates nothing.
 func benchCPUDomain(cores int) (*sim.Engine, *sim.Domain) {
-	sp := mem.NewScratchpad(256*1024, 4)
+	sp := mem.NewScratchpad(4)
 	xbar := mem.NewCrossbar(cores, 4)
-	imem := mem.NewInstrMemory(2, 32)
+	imem := mem.NewInstrMemory()
 	d := sim.NewDomain("cpu", 166e6)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < cores; i++ {
-		c := New(i, sp, xbar, i, mem.NewICache(8192, 2, 32), imem, 4)
+		c := New(i, sp, xbar, i, mem.NewICache(), imem, 4)
 		var streams []*Stream
 		for k := 0; k < 4; k++ {
 			var ops []Op

@@ -262,8 +262,9 @@ func (c *Core) onXbarDone() {
 	switch c.xcb {
 	case cbLoad, cbRMW:
 		// An RMW is one atomic transaction; its functional flag update is
-		// carried by Done against quiet bit-array state.
-		c.sp.Read32(addr)
+		// carried by Done against quiet bit-array state. Neither uses the
+		// word, so the access is only counted.
+		c.sp.CountRead(addr)
 		c.memDone = true
 	case cbStore:
 		// The store's functional payload (if any) is carried by Done;
@@ -899,11 +900,10 @@ func (c *Core) walkALU(n uint64) (end int, bubbles uint8) {
 // lookup per line, and returns the pcOff that follows them.
 func (c *Core) fetchHits(n uint64) uint32 {
 	s := c.cur
-	lb := uint32(c.icache.LineBytes())
 	pc := c.pcOff
 	for n > 0 {
 		addr := s.CodeBase + pc
-		m := uint64(((c.icache.Line(addr)+1)*lb - addr + 3) / 4) // fetches left in the line
+		m := uint64(((c.icache.Line(addr)+1)*mem.ICacheLineBytes - addr + 3) / 4) // fetches left in the line
 		if s.CodeLen > 0 {
 			m = min(m, uint64((s.CodeLen-pc+3)/4)) // fetches before the code wraps
 		}

@@ -1,9 +1,12 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // rig wires cores to a scratchpad, crossbar, and instruction memory with the
@@ -18,13 +21,12 @@ type rig struct {
 
 func newRig(nCores, banks int) *rig {
 	r := &rig{
-		sp:   mem.NewScratchpad(256*1024, banks),
+		sp:   mem.NewScratchpad(banks),
 		xbar: mem.NewCrossbar(nCores+4, banks),
-		imem: mem.NewInstrMemory(2, 32),
+		imem: mem.NewInstrMemory(),
 	}
 	for i := 0; i < nCores; i++ {
-		ic := mem.NewICache(8192, 2, 32)
-		r.cores = append(r.cores, New(i, r.sp, r.xbar, i, ic, r.imem, 4))
+		r.cores = append(r.cores, New(i, r.sp, r.xbar, i, mem.NewICache(), r.imem, 4))
 	}
 	return r
 }
@@ -322,6 +324,48 @@ func TestRMWIsSingleTransaction(t *testing.T) {
 	}
 }
 
+// TestScratchpadCountsPerTransaction pins how many scratchpad accesses each
+// completed core transaction records: one for a load, store, RMW, ll,
+// unlock or failed sc, and two for a successful sc, whose read and write
+// are one crossbar transaction. The lock word is set behind the first ll's
+// back, so that sc fails, and cleared again for the retry.
+func TestScratchpadCountsPerTransaction(t *testing.T) {
+	r := newRig(1, 4)
+	c := r.cores[0]
+	const lock = 0x300
+	var got []string
+	var seen uint64
+	c.TraceMem = func(trace.MemRef) {
+		rd, wr := r.sp.TotalAccesses()
+		kind := [...]string{cbLoad: "load", cbRMW: "rmw", cbStore: "store", cbLL: "ll", cbUnlock: "unlock", cbSC: "sc"}[c.xcb]
+		switch {
+		case c.xcb == cbLL && len(got) == 3:
+			r.sp.Poke32(lock, 1)
+		case c.xcb == cbSC && c.lockVal == 0:
+			kind += "-failed"
+			r.sp.Poke32(lock, 0)
+		}
+		got = append(got, fmt.Sprintf("%s:%d", kind, rd+wr-seen))
+		seen = rd + wr
+	}
+	ops := []Op{
+		{Kind: OpLoad, Addr: 0x100},
+		{Kind: OpStore, Addr: 0x104},
+		{Kind: OpRMW, Addr: 0x108},
+		{Kind: OpLock, Addr: lock},
+		{Kind: OpUnlock, Addr: lock},
+	}
+	done := r.feed(0, &Stream{CodeLen: 64, Ops: ops})
+	r.run(200)
+	if !*done {
+		t.Fatal("stream did not complete")
+	}
+	want := "load:1 store:1 rmw:1 ll:1 sc-failed:1 ll:1 sc:2 unlock:1"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("scratchpad accesses per transaction = %s, want %s", s, want)
+	}
+}
+
 func TestIdleCoreCountsIdleCycles(t *testing.T) {
 	r := newRig(1, 4)
 	r.run(10)
@@ -347,7 +391,8 @@ func TestLargeCodeFootprintMisses(t *testing.T) {
 	if st.IMissStalls == 0 {
 		t.Error("no instruction miss stalls on an oversized footprint")
 	}
-	ratio := r.cores[0].icache.HitRatio()
+	ic := r.cores[0].icache
+	ratio := float64(ic.Hits.Value()) / float64(ic.Hits.Value()+ic.Misses.Value())
 	if ratio > 0.95 {
 		t.Errorf("icache hit ratio = %.3f, want misses for 2x-capacity walk", ratio)
 	}

@@ -43,14 +43,21 @@ const (
 	dataBase = 0x1000
 )
 
+// The generated code lies in [0, codeSpan), at bases a multiple of
+// setSpan apart, which share the instruction cache's sets.
+const (
+	codeSpan = 64 << 10
+	setSpan  = mem.ICacheBytes / mem.ICacheWays
+)
+
 func newSleepRig(sleep bool, cores, gated int, alias bool, seed int64) *sleepRig {
 	r := &sleepRig{
 		alias: alias,
 		e:     sim.NewEngine(),
 		d:     sim.NewDomain("cpu", 166e6),
-		sp:    mem.NewScratchpad(256*1024, 4),
+		sp:    mem.NewScratchpad(4),
 		xbar:  mem.NewCrossbar(cores, 4),
-		imem:  mem.NewInstrMemory(2, 32),
+		imem:  mem.NewInstrMemory(),
 	}
 	add := func(t sim.Sleeper) {
 		if sleep {
@@ -60,8 +67,7 @@ func newSleepRig(sleep bool, cores, gated int, alias bool, seed int64) *sleepRig
 		}
 	}
 	for i := 0; i < cores; i++ {
-		// A 2 KB cache, so handlers spread over 16 KB of code keep missing.
-		c := New(i, r.sp, r.xbar, i, mem.NewICache(2048, 2, 32), r.imem, 3)
+		c := New(i, r.sp, r.xbar, i, mem.NewICache(), r.imem, 3)
 		r.cores = append(r.cores, c)
 		r.rng = append(r.rng, rand.New(rand.NewSource(seed*31+int64(i))))
 		r.rescued = append(r.rescued, nil)
@@ -102,8 +108,9 @@ func (r *sleepRig) nextWork(i int) func() *Stream {
 
 // stream generates one handler: ALU runs with hazards, loads, stores, RMWs,
 // lock sections on two contended words, callbacks on a share of the ops,
-// and a code region of up to 4 KB at one of four bases, some short enough
-// that the PC wraps.
+// and a code region of up to 4 KB at one of sixteen bases setSpan apart,
+// some short enough that the PC wraps. Spread over 64 KB, eight times the
+// cache, the handlers keep missing.
 func (r *sleepRig) stream(core, n int) *Stream {
 	rng := r.rng[core]
 	name := fmt.Sprintf("s%d.%d", core, n)
@@ -153,10 +160,12 @@ func (r *sleepRig) stream(core, n int) *Stream {
 		}
 	}
 	acct := rng.Intn(4) - 1 // -1 is unattributed
-	base, codeLen := uint32(rng.Intn(4))*4096+uint32(rng.Intn(8))*4, uint32(64+rng.Intn(4032))
+	// One of sixteen bases; the region ends below codeSpan.
+	base := uint32(rng.Intn(codeSpan/setSpan))*setSpan + uint32(rng.Intn(8))*4
+	codeLen := uint32(64 + rng.Intn(4000))
 	switch {
 	case r.alias:
-		base, codeLen = uint32(rng.Intn(4))*1024, uint32(32+rng.Intn(2)*32) // 1 KB apart: the same sets
+		base, codeLen = uint32(rng.Intn(4))*setSpan, uint32(32+rng.Intn(2)*32) // the same sets
 	case rng.Intn(3) == 0:
 		codeLen = uint32(36 + rng.Intn(160)) // the PC wraps, often mid-line
 	}
@@ -190,16 +199,31 @@ func (r *sleepRig) state() string {
 func (r *sleepRig) lruState() string {
 	var b strings.Builder
 	for _, c := range r.cores {
-		for pc := uint32(0); pc < 2048; pc += 32 {
-			c.icache.Fill(1<<20 + pc) // one line per set of the 2 KB cache
+		for pc := uint32(0); pc < setSpan; pc += mem.ICacheLineBytes {
+			c.icache.Fill(1<<20 + pc) // one line per set
 		}
-		for pc := uint32(0); pc < 4*4096; pc += 32 {
+		for pc := uint32(0); pc < codeSpan; pc += mem.ICacheLineBytes {
 			if c.icache.Probe(pc) {
 				fmt.Fprintf(&b, "%d:%x ", c.ID, pc)
 			}
 		}
 	}
 	return b.String()
+}
+
+// resident reports, per core, which lines of the code span its instruction
+// cache holds. Probe changes nothing, and a line leaves the cache only when a
+// fill evicts it.
+func (r *sleepRig) resident() [][]bool {
+	var res [][]bool
+	for _, c := range r.cores {
+		lines := make([]bool, codeSpan/mem.ICacheLineBytes)
+		for i := range lines {
+			lines[i] = c.icache.Probe(uint32(i) * mem.ICacheLineBytes)
+		}
+		res = append(res, lines)
+	}
+	return res
 }
 
 // coreTicks sums the cores' executed ticks.
@@ -240,7 +264,9 @@ func (r *sleepRig) preemptAt(ev *sim.Domain, i int, at ...sim.Picoseconds) {
 // sleeping cores, crossbar and instruction memory must log every callback at
 // the same instant, and leave the same statistics, attribution and
 // instruction-cache counts after every RunFor, as the rig ticked on every
-// edge. The deadlines land on and between edges and inside sleeps.
+// edge. The deadlines land on and between edges and inside sleeps. Every
+// variant must miss in the instruction cache and evict a valid line, seen as
+// a line cached after one RunFor and gone after a later one.
 func TestCoresSleepLikeTickedRun(t *testing.T) {
 	chunks := []sim.Picoseconds{3 * sim.Microsecond, 1, 6023, 6024, 6025, 12000, 50 * sim.Nanosecond,
 		777777, 6024 * 7, 2 * sim.Microsecond, 40 * sim.Microsecond, 100 * sim.Microsecond}
@@ -273,6 +299,8 @@ func TestCoresSleepLikeTickedRun(t *testing.T) {
 					}
 					rigs[k] = r
 				}
+				var held [][]bool
+				evicted := 0
 				for i, c := range chunks {
 					for _, r := range rigs {
 						r.e.RunFor(c)
@@ -280,6 +308,22 @@ func TestCoresSleepLikeTickedRun(t *testing.T) {
 					if s, k := rigs[0].state(), rigs[1].state(); s != k {
 						t.Fatalf("seed %d, after RunFor #%d (%d ps):\nsleeping: %s\nticked:   %s", seed, i, c, s, k)
 					}
+					now := rigs[1].resident()
+					for k := range held {
+						for l := range held[k] {
+							if held[k][l] && !now[k][l] {
+								evicted++
+							}
+						}
+					}
+					held = now
+				}
+				var misses uint64
+				for _, c := range rigs[1].cores {
+					misses += c.icache.Misses.Value()
+				}
+				if misses == 0 || evicted == 0 {
+					t.Errorf("seed %d: %d instruction-cache misses, %d valid lines seen evicted: the rig exercises no replacement", seed, misses, evicted)
 				}
 				if s, k := rigs[0].lruState(), rigs[1].lruState(); s != k {
 					t.Fatalf("seed %d: instruction-cache replacement state differs:\nsleeping: %s\nticked:   %s", seed, s, k)
@@ -318,10 +362,10 @@ func TestCoresSleepLikeTickedRun(t *testing.T) {
 func TestPreemptReplaysSkippedTicks(t *testing.T) {
 	e := sim.NewEngine()
 	d := sim.NewDomain("cpu", 100e6) // 10 ns
-	sp := mem.NewScratchpad(4096, 1)
+	sp := mem.NewScratchpad(1)
 	xbar := mem.NewCrossbar(1, 1)
-	imem := mem.NewInstrMemory(2, 32)
-	c := New(0, sp, xbar, 0, mem.NewICache(2048, 2, 32), imem, 1)
+	imem := mem.NewInstrMemory()
+	c := New(0, sp, xbar, 0, mem.NewICache(), imem, 1)
 	ops := []Op{{Hazard: 200}, {}, {}}
 	polls := 0
 	c.NextWork = func() *Stream {

@@ -26,10 +26,10 @@ type rig struct {
 // firmware cores and full-duplex 1472-byte UDP traffic.
 func newRig(nCores int) *rig {
 	const banks = 4
-	sp := mem.NewScratchpad(256*1024, banks)
+	sp := mem.NewScratchpad(banks)
 	xbar := mem.NewCrossbar(nCores+4, banks)
 	sdram := mem.NewSDRAM()
-	imem := mem.NewInstrMemory(2, 32)
+	imem := mem.NewInstrMemory()
 	hst := host.New(host.DefaultConfig(), 1)
 	port := func(i int) *assist.ScratchPort { return assist.NewScratchPort(sp, xbar, nCores+i, nCores+i) }
 	as := Assists{
@@ -87,7 +87,7 @@ func sameArray(a, b []cpu.Op) bool {
 // ops, so no stream handed out while it is outstanding may reuse that array.
 func TestTakeOverKeepsRemainderOps(t *testing.T) {
 	r := newRig(2)
-	c := cpu.New(0, r.sp, r.xbar, 0, mem.NewICache(8192, 2, 32), r.imem, NumAcct)
+	c := cpu.New(0, r.sp, r.xbar, 0, mem.NewICache(), r.imem, NumAcct)
 	c.NextWork = r.fw.NextWorkFor(0)
 	// Warm the pool so recycled buffers are what new streams are built on.
 	for i := 0; i < 20; i++ {

@@ -9,15 +9,14 @@ import (
 )
 
 // Crossbar models the 32-bit dancehall interconnect between the processors
-// and hardware assists on one side and the scratchpad banks plus the external
-// memory bus interface on the other.
+// and hardware assists on one side and the scratchpad banks on the other.
+// Its resources are the banks: resource i is bank i.
 //
-// One transaction may be delivered to each resource (bank or external-memory
-// interface) per cycle, with independent round-robin arbitration per
-// resource. An access takes a minimum of two cycles: one to request and
-// traverse the crossbar, one to access the memory and return data. Requests
-// that lose arbitration wait, accumulating the bank-conflict stalls reported
-// in the paper's Table 3.
+// One transaction may be delivered to each bank per cycle, with independent
+// round-robin arbitration per bank. An access takes a minimum of two cycles:
+// one to request and traverse the crossbar, one to access the memory and
+// return data. Requests that lose arbitration wait, accumulating the
+// bank-conflict stalls reported in the paper's Table 3.
 //
 // Arbitration state is kept as per-resource bitmasks of waiting ports, so a
 // tick costs a handful of word operations per resource instead of a scan of
@@ -51,30 +50,24 @@ type xbarPort struct {
 	onDone   func()
 }
 
-// ExtMemResource returns the resource index of the external memory bus
-// interface for a crossbar with the given number of scratchpad banks.
-func ExtMemResource(banks int) int { return banks }
-
 // NewCrossbar creates a crossbar with the given number of requester ports and
-// scratchpad banks. Resource indices 0..banks-1 are the banks; index banks is
-// the external memory bus interface. At most 64 ports and 63 banks are
-// supported (the waiting and active sets are single machine words; the
-// controller needs cores+4 ports and a handful of banks).
+// scratchpad banks. At most 64 ports and 64 banks are supported (the waiting
+// and active sets are single machine words; the controller needs cores+4
+// ports and a handful of banks).
 func NewCrossbar(ports, banks int) *Crossbar {
 	if ports <= 0 || banks <= 0 {
 		panic(fmt.Sprintf("mem: bad crossbar geometry: %d ports, %d banks", ports, banks))
 	}
-	if ports > 64 || banks > 63 {
-		panic(fmt.Sprintf("mem: crossbar supports at most 64 ports and 63 banks, got %d/%d", ports, banks))
+	if ports > 64 || banks > 64 {
+		panic(fmt.Sprintf("mem: crossbar supports at most 64 ports and 64 banks, got %d/%d", ports, banks))
 	}
-	n := banks + 1
 	x := &Crossbar{
-		resources:  n,
+		resources:  banks,
 		ports:      make([]xbarPort, ports),
-		rr:         make([]int32, n),
-		waiting:    make([]uint64, n),
-		inFlight:   make([]int32, n),
-		Grants:     make([]stats.Counter, n),
+		rr:         make([]int32, banks),
+		waiting:    make([]uint64, banks),
+		inFlight:   make([]int32, banks),
+		Grants:     make([]stats.Counter, banks),
 		WaitCycles: make([]stats.Counter, ports),
 	}
 	for i := range x.rr {
@@ -87,11 +80,11 @@ func NewCrossbar(ports, banks int) *Crossbar {
 // access cycle).
 func (x *Crossbar) Busy(port int) bool { return x.ports[port].active }
 
-// Submit enqueues a request on the given port for the given resource. Each
-// port may have one request outstanding; submitting to a busy port panics,
-// since the processor pipeline and assist engines are responsible for not
-// over-issuing. onDone is invoked during the tick in which data returns; it
-// may be nil.
+// Submit enqueues a request on the given port for the given resource (bank).
+// Each port may have one request outstanding; submitting to a busy port
+// panics, since the processor pipeline and assist engines are responsible for
+// not over-issuing. onDone is invoked during the tick in which data returns;
+// it may be nil.
 func (x *Crossbar) Submit(port, resource int, write bool, onDone func()) {
 	p := &x.ports[port]
 	if p.active {
@@ -113,9 +106,9 @@ func (x *Crossbar) Submit(port, resource int, write bool, onDone func()) {
 }
 
 // Tick completes accesses granted last cycle, then arbitrates new grants,
-// one per resource, round-robin across ports. While a bank-stall hook is
-// attached it is consulted for every resource every cycle, busy or not, and
-// a stalled resource grants nothing.
+// one per bank, round-robin across ports. While a bank-stall hook is
+// attached it is consulted for every bank every cycle, busy or not, and a
+// stalled bank grants nothing.
 func (x *Crossbar) Tick(cycle uint64) {
 	if x.busy == 0 && x.bankStall == nil {
 		return
@@ -185,8 +178,8 @@ func (x *Crossbar) Tick(cycle uint64) {
 }
 
 // SetBankStall installs f as the bank-stall hook, or removes it (nil). While
-// installed, f is consulted for every resource every cycle, and a resource
-// for which it reports true grants nothing that cycle (transient bank-error
+// installed, f is consulted for every bank every cycle, and a bank for
+// which it reports true grants nothing that cycle (transient bank-error
 // injection): pending requests keep waiting, accumulating conflict stalls
 // exactly like arbitration losses, and grants already in flight still
 // complete. Installing wakes the crossbar, which then ticks every cycle;

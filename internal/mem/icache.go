@@ -2,36 +2,44 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// ICache models one core's private instruction cache: 8 KB, 2-way set
-// associative, 32-byte lines, LRU replacement in the paper's configuration.
+// The paper's instruction-side geometry: each core's private instruction
+// cache is 8 KB, two-way set associative, with 32-byte lines, filled over the
+// shared instruction memory's 16-byte port after two access cycles.
+const (
+	icacheLineShift = 5
+	icacheSetShift  = 7
+	icacheSets      = 1 << icacheSetShift
+
+	// ICacheLineBytes is the instruction cache's line size.
+	ICacheLineBytes = 1 << icacheLineShift
+	// ICacheWays is the instruction cache's associativity.
+	ICacheWays = 2
+	// ICacheBytes is each core's instruction cache capacity.
+	ICacheBytes = ICacheWays * icacheSets * ICacheLineBytes
+
+	imemAccessCy   = 2                    // cycles before a line transfer begins
+	imemTransferCy = ICacheLineBytes / 16 // a line over the 128-bit port
+)
+
+// ICache models one core's private instruction cache with LRU replacement.
 // Instructions are read-only and single-writer, so no coherence is needed.
 //
 // Tag and valid state are packed into one word per line (tag | icValid),
-// stored in a flat array indexed set*ways+way, so a probe is a single
-// comparison per way; the power-of-two geometries every studied configuration
-// uses resolve the set index with shifts and masks. The cache is probed on
-// every instruction of every core, so the divisions, nested slices, and
-// separate valid-bit loads all showed up in profiles.
+// stored in a flat array indexed set*2+way, so a probe is a single comparison
+// per way and the set index is a shift and a mask. The cache is probed on
+// every instruction of every core, so divisions, nested slices, and separate
+// valid-bit loads all showed up in profiles.
 type ICache struct {
-	lineBytes int
-	sets      int
-	ways      int
-	lines     []uint64 // sets*ways, flattened; uint64(tag)|icValid, 0 = invalid
-	lruWay    []int    // for 2-way: the way to evict next
+	lines  [icacheSets * ICacheWays]uint64 // uint64(tag)|icValid, 0 = invalid
+	lruWay [icacheSets]uint8               // the way to evict next
 	// The line of the last hit or fill spans [lastBase, lastBase+lastSpan);
 	// lastSpan is 0 before the first.
 	lastBase, lastSpan uint32
-
-	pow2      bool
-	lineShift uint
-	setShift  uint
-	setMask   uint32
 
 	Hits   stats.Counter
 	Misses stats.Counter
@@ -41,28 +49,8 @@ type ICache struct {
 // zero entry can never match a lookup.
 const icValid = uint64(1) << 32
 
-// NewICache creates an instruction cache of the given total size, ways, and
-// line size in bytes.
-func NewICache(size, ways, lineBytes int) *ICache {
-	if size <= 0 || ways <= 0 || lineBytes <= 0 || size%(ways*lineBytes) != 0 {
-		panic(fmt.Sprintf("mem: bad icache geometry: size=%d ways=%d line=%d", size, ways, lineBytes))
-	}
-	sets := size / (ways * lineBytes)
-	c := &ICache{
-		lineBytes: lineBytes,
-		sets:      sets,
-		ways:      ways,
-		lines:     make([]uint64, sets*ways),
-		lruWay:    make([]int, sets),
-	}
-	if lineBytes&(lineBytes-1) == 0 && sets&(sets-1) == 0 {
-		c.pow2 = true
-		c.lineShift = uint(bits.TrailingZeros(uint(lineBytes)))
-		c.setShift = uint(bits.TrailingZeros(uint(sets)))
-		c.setMask = uint32(sets - 1)
-	}
-	return c
-}
+// NewICache creates an empty instruction cache.
+func NewICache() *ICache { return &ICache{} }
 
 // Lookup probes the cache for the line holding pc and updates LRU state on a
 // hit. It does not fill on a miss; call Fill once the line arrives. The line
@@ -78,42 +66,25 @@ func (c *ICache) Lookup(pc uint32) bool {
 
 // setLast records the line holding pc as the last one hit or filled.
 func (c *ICache) setLast(pc uint32) {
-	c.lastBase = c.Line(pc) * uint32(c.lineBytes)
-	c.lastSpan = uint32(c.lineBytes)
+	c.lastBase = pc &^ (ICacheLineBytes - 1)
+	c.lastSpan = ICacheLineBytes
 }
 
 // lookup is Lookup for a line other than the last one hit or filled.
 func (c *ICache) lookup(pc uint32) bool {
-	set, tag := c.index(pc)
-	want := uint64(tag) | icValid
-	if c.ways == 2 {
-		base := set * 2
-		if c.lines[base] == want {
-			c.Hits.Inc()
-			c.lruWay[set] = 1
-			c.setLast(pc)
-			return true
-		}
-		if c.lines[base+1] == want {
-			c.Hits.Inc()
-			c.lruWay[set] = 0
-			c.setLast(pc)
-			return true
-		}
+	set, want := c.index(pc)
+	switch want {
+	case c.lines[2*set]:
+		c.lruWay[set] = 1
+	case c.lines[2*set+1]:
+		c.lruWay[set] = 0
+	default:
 		c.Misses.Inc()
 		return false
 	}
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == want {
-			c.Hits.Inc()
-			c.touch(set, w)
-			c.setLast(pc)
-			return true
-		}
-	}
-	c.Misses.Inc()
-	return false
+	c.Hits.Inc()
+	c.setLast(pc)
+	return true
 }
 
 // HitN counts n fetches from the line holding pc, which must be cached,
@@ -128,16 +99,8 @@ func (c *ICache) HitN(pc uint32, n uint64) {
 	c.Hits.Add(n - 1)
 }
 
-// LineBytes returns the line size in bytes.
-func (c *ICache) LineBytes() int { return c.lineBytes }
-
 // Line returns the number of the cache line holding pc.
-func (c *ICache) Line(pc uint32) uint32 {
-	if c.pow2 {
-		return pc >> c.lineShift
-	}
-	return pc / uint32(c.lineBytes)
-}
+func (c *ICache) Line(pc uint32) uint32 { return pc >> icacheLineShift }
 
 // Probe reports whether the line holding pc is cached, without counting a
 // hit or miss or touching LRU state.
@@ -145,73 +108,41 @@ func (c *ICache) Probe(pc uint32) bool {
 	if pc-c.lastBase < c.lastSpan {
 		return true
 	}
-	set, tag := c.index(pc)
-	want := uint64(tag) | icValid
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == want {
-			return true
-		}
-	}
-	return false
+	set, want := c.index(pc)
+	return c.lines[2*set] == want || c.lines[2*set+1] == want
 }
 
-// Fill installs the line holding pc, evicting the LRU way.
+// Fill installs the line holding pc in an invalid way if its set has one,
+// else in place of the set's least recently used line.
 func (c *ICache) Fill(pc uint32) {
-	set, tag := c.index(pc)
-	base := set * c.ways
-	w := c.lruWay[set]
-	// Prefer an invalid way over evicting.
-	for i := 0; i < c.ways; i++ {
-		if c.lines[base+i]&icValid == 0 {
-			w = i
-			break
-		}
+	set, want := c.index(pc)
+	w := uint32(c.lruWay[set])
+	switch {
+	case c.lines[2*set] == 0:
+		w = 0
+	case c.lines[2*set+1] == 0:
+		w = 1
 	}
-	c.lines[base+w] = uint64(tag) | icValid
-	c.touch(set, w)
+	c.lines[2*set+w] = want
+	c.lruWay[set] = uint8(1 - w)
 	c.setLast(pc)
 }
 
-// HitRatio returns hits/(hits+misses).
-func (c *ICache) HitRatio() float64 {
-	total := c.Hits.Value() + c.Misses.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits.Value()) / float64(total)
-}
-
-func (c *ICache) index(pc uint32) (set int, tag uint32) {
-	if c.pow2 {
-		line := pc >> c.lineShift
-		return int(line & c.setMask), line >> c.setShift
-	}
-	line := pc / uint32(c.lineBytes)
-	return int(line) % c.sets, line / uint32(c.sets)
-}
-
-func (c *ICache) touch(set, way int) {
-	if c.ways == 2 {
-		c.lruWay[set] = 1 - way
-		return
-	}
-	// General pseudo-LRU for other associativities: rotate past the touched
-	// way. Exact LRU is unnecessary fidelity for the instruction stream.
-	c.lruWay[set] = (way + 1) % c.ways
+// index returns the set that holds pc's line and the entry the line has
+// there when cached.
+func (c *ICache) index(pc uint32) (set uint32, want uint64) {
+	line := pc >> icacheLineShift
+	return line & (icacheSets - 1), uint64(line>>icacheSetShift) | icValid
 }
 
 // InstrMemory models the shared 128-bit instruction memory port that fills
 // the per-core instruction caches. One fill is serviced at a time; cores wait
-// round-robin. A 32-byte line fill occupies the port for accessCy + 2
-// transfer cycles (32 B over a 16 B/cycle port).
+// round-robin. A line fill occupies the port for imemAccessCy +
+// imemTransferCy cycles (2 + 2: 32 B over a 16 B/cycle port).
 //
 // InstrMemory is a sim.Sleeper in the CPU clock domain, registered after
 // the cores.
 type InstrMemory struct {
-	accessCy int
-	lineCy   int
-
 	// pending is a head-indexed FIFO: popping advances phead so the backing
 	// array is reused instead of reallocated.
 	pending  []fillReq
@@ -229,16 +160,8 @@ type fillReq struct {
 	onDone func()
 }
 
-// NewInstrMemory creates the shared instruction memory. accessCy is the
-// fixed access latency before the line transfer begins; lineBytes sets the
-// number of 16-byte transfer cycles.
-func NewInstrMemory(accessCy, lineBytes int) *InstrMemory {
-	lineCy := (lineBytes + 15) / 16
-	if lineCy == 0 {
-		lineCy = 1
-	}
-	return &InstrMemory{accessCy: accessCy, lineCy: lineCy}
-}
+// NewInstrMemory creates the shared instruction memory.
+func NewInstrMemory() *InstrMemory { return &InstrMemory{} }
 
 // RequestFill enqueues a line fill for a core; onDone is called during the
 // tick the fill completes.
@@ -260,14 +183,14 @@ func (m *InstrMemory) Tick(cycle uint64) {
 			m.pending, m.phead = m.pending[:0], 0
 		}
 		m.hasCur = true
-		m.busy = m.accessCy + m.lineCy
+		m.busy = imemAccessCy + imemTransferCy
 	}
 	if !m.hasCur {
 		return
 	}
 	// Only the transfer cycles occupy the 128-bit port; the access cycles
 	// are internal to the memory array.
-	if m.busy <= m.lineCy {
+	if m.busy <= imemTransferCy {
 		m.PortBusy.Busy.Inc()
 	}
 	m.busy--
@@ -301,8 +224,8 @@ func (m *InstrMemory) Skip(n uint64) {
 		return
 	}
 	// The skipped cycles count busy from m.busy down to m.busy-n+1; those at
-	// or below lineCy are transfer cycles.
-	if hi, lo := min(m.busy, m.lineCy), m.busy-int(n)+1; hi >= lo {
+	// or below imemTransferCy are transfer cycles.
+	if hi, lo := min(m.busy, imemTransferCy), m.busy-int(n)+1; hi >= lo {
 		m.PortBusy.Busy.Add(uint64(hi - lo + 1))
 	}
 	m.busy -= int(n)

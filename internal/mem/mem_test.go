@@ -2,17 +2,44 @@ package mem
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 )
 
+// TestFixedGeometry: the parts are the paper's, and the scratchpad and the
+// crossbar refuse what that geometry does not have.
+func TestFixedGeometry(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"icache-8KB", ICacheBytes == 8*1024},
+		{"icache-2-way", ICacheWays == 2},
+		{"icache-32B-lines", ICacheLineBytes == 32},
+		{"scratchpad-256KB", ScratchpadBytes == 256*1024},
+		{"scratchpad-32-banks", !panics(func() { NewScratchpad(32) })},
+		{"scratchpad-3-banks-panics", panics(func() { NewScratchpad(3) })},
+		{"crossbar-resource-banks-panics", panics(func() { NewCrossbar(1, 4).Submit(0, 4, false, nil) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.ok {
+				t.Errorf("%s does not hold", tc.name)
+			}
+		})
+	}
+}
+
 func TestScratchpadBankInterleave(t *testing.T) {
-	sp := NewScratchpad(256*1024, 4)
-	if sp.Banks() != 4 || sp.Capacity() != 256*1024 {
-		t.Fatalf("geometry: banks=%d cap=%d", sp.Banks(), sp.Capacity())
+	sp := NewScratchpad(4)
+	if len(sp.Reads) != 4 || len(sp.Writes) != 4 {
+		t.Fatalf("per-bank counters: %d reads, %d writes, want 4", len(sp.Reads), len(sp.Writes))
 	}
 	// Sequential words rotate across banks.
 	for i := uint32(0); i < 16; i++ {
@@ -23,7 +50,7 @@ func TestScratchpadBankInterleave(t *testing.T) {
 }
 
 func TestScratchpadReadWrite(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	sp.Write32(0x10, 0xdeadbeef)
 	if got := sp.Read32(0x10); got != 0xdeadbeef {
 		t.Errorf("Read32 = %#x", got)
@@ -38,22 +65,13 @@ func TestScratchpadReadWrite(t *testing.T) {
 }
 
 func TestScratchpadUnalignedPanics(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unaligned access did not panic")
 		}
 	}()
 	sp.Read32(2)
-}
-
-func TestScratchpadBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry did not panic")
-		}
-	}()
-	NewScratchpad(1000, 3)
 }
 
 func TestCrossbarSingleAccessTakesTwoCycles(t *testing.T) {
@@ -153,12 +171,6 @@ func TestCrossbarDoubleSubmitPanics(t *testing.T) {
 		}
 	}()
 	x.Submit(0, 0, false, nil)
-}
-
-func TestExtMemResource(t *testing.T) {
-	if ExtMemResource(4) != 4 {
-		t.Errorf("ExtMemResource(4) = %d", ExtMemResource(4))
-	}
 }
 
 func TestAlignedLen(t *testing.T) {
@@ -277,7 +289,7 @@ func TestSDRAMSustainedStreamNearPeak(t *testing.T) {
 }
 
 func TestICacheHitAfterFill(t *testing.T) {
-	c := NewICache(8192, 2, 32)
+	c := NewICache()
 	if c.Lookup(0x100) {
 		t.Fatal("cold cache hit")
 	}
@@ -294,8 +306,8 @@ func TestICacheHitAfterFill(t *testing.T) {
 }
 
 func TestICacheTwoWayLRU(t *testing.T) {
-	c := NewICache(8192, 2, 32)
-	sets := 8192 / (2 * 32) // 128
+	c := NewICache()
+	sets := ICacheBytes / (ICacheWays * ICacheLineBytes) // 128
 	a := uint32(0)
 	b := uint32(sets * 32)     // same set, different tag
 	d := uint32(2 * sets * 32) // same set, third tag
@@ -319,51 +331,38 @@ func TestICacheTwoWayLRU(t *testing.T) {
 
 // TestICacheLastLineShortcut: Lookup's shortcut for the line of the last hit
 // or fill, and HitN, must leave hits, misses, lines and replacement state
-// exactly as full lookups do, in 2-way caches and in the 4-way pseudo-LRU
-// ones, with code that aliases into a few sets.
+// exactly as full lookups do, with code at four bases 4 KB apart that alias
+// into the same few sets.
 func TestICacheLastLineShortcut(t *testing.T) {
-	for _, ways := range []int{2, 4} {
-		fast, full := NewICache(1024, ways, 32), NewICache(1024, ways, 32)
-		x := uint32(12345)
-		for i := 0; i < 20000; i++ {
-			x = x*1664525 + 1013904223
-			pc := (x >> 8 % 4 * 1024) + (x >> 12 % 8 * 32) + (x >> 16 % 8 * 4)
-			n := uint64(1 + x>>20%5)
-			if fast.Probe(pc) && x%3 == 0 {
-				fast.HitN(pc, n)
-				for k := uint64(0); k < n; k++ {
-					full.lookup(pc)
-				}
-			} else if hit := fast.Lookup(pc); hit != full.lookup(pc) {
-				t.Fatalf("%d-way, access %d (pc %#x): Lookup = %v, full lookup disagrees", ways, i, pc, hit)
-			} else if !hit {
-				fast.Fill(pc)
-				full.Fill(pc)
+	fast, full := NewICache(), NewICache()
+	x := uint32(12345)
+	for i := 0; i < 20000; i++ {
+		x = x*1664525 + 1013904223
+		pc := (x >> 8 % 4 * 4096) + (x >> 12 % 8 * 32) + (x >> 16 % 8 * 4)
+		n := uint64(1 + x>>20%5)
+		if fast.Probe(pc) && x%3 == 0 {
+			fast.HitN(pc, n)
+			for k := uint64(0); k < n; k++ {
+				full.lookup(pc)
 			}
-			if fast.Hits != full.Hits || fast.Misses != full.Misses ||
-				!slices.Equal(fast.lines, full.lines) || !slices.Equal(fast.lruWay, full.lruWay) {
-				t.Fatalf("%d-way, access %d (pc %#x): state differs from full lookups", ways, i, pc)
-			}
+		} else if hit := fast.Lookup(pc); hit != full.lookup(pc) {
+			t.Fatalf("access %d (pc %#x): Lookup = %v, full lookup disagrees", i, pc, hit)
+		} else if !hit {
+			fast.Fill(pc)
+			full.Fill(pc)
 		}
-		if fast.Hits.Value() == 0 || fast.Misses.Value() == 0 {
-			t.Fatalf("%d-way: hits %d, misses %d: the sequence exercises nothing", ways, fast.Hits.Value(), fast.Misses.Value())
+		if fast.Hits != full.Hits || fast.Misses != full.Misses ||
+			fast.lines != full.lines || fast.lruWay != full.lruWay {
+			t.Fatalf("access %d (pc %#x): state differs from full lookups", i, pc)
 		}
 	}
-}
-
-func TestICacheHitRatio(t *testing.T) {
-	c := NewICache(1024, 2, 32)
-	c.Lookup(0) // miss
-	c.Fill(0)
-	c.Lookup(0) // hit
-	c.Lookup(4) // hit
-	if got := c.HitRatio(); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Errorf("HitRatio = %v, want 2/3", got)
+	if fast.Hits.Value() == 0 || fast.Misses.Value() == 0 {
+		t.Fatalf("hits %d, misses %d: the sequence exercises nothing", fast.Hits.Value(), fast.Misses.Value())
 	}
 }
 
 func TestInstrMemoryFillLatencyAndUtilization(t *testing.T) {
-	m := NewInstrMemory(2, 32) // 2 access + 2 transfer cycles
+	m := NewInstrMemory() // 2 access + 2 transfer cycles
 	var order []int
 	m.RequestFill(0, func() { order = append(order, 0) })
 	m.RequestFill(1, func() { order = append(order, 1) })
@@ -383,7 +382,7 @@ func TestInstrMemoryFillLatencyAndUtilization(t *testing.T) {
 }
 
 func TestBitArraySetAndUpdateInOrder(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	b := NewBitArray(sp, 0, 64)
 	b.Set(0)
 	b.Set(1)
@@ -398,7 +397,7 @@ func TestBitArraySetAndUpdateInOrder(t *testing.T) {
 }
 
 func TestBitArrayUpdateStopsAtGap(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	b := NewBitArray(sp, 0, 64)
 	b.Set(0)
 	b.Set(2) // gap at 1
@@ -418,7 +417,7 @@ func TestBitArrayUpdateStopsAtGap(t *testing.T) {
 }
 
 func TestBitArrayUpdateExaminesOneWordOnly(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	b := NewBitArray(sp, 0, 64)
 	for i := 0; i < 40; i++ {
 		b.Set(i)
@@ -435,7 +434,7 @@ func TestBitArrayUpdateExaminesOneWordOnly(t *testing.T) {
 }
 
 func TestBitArrayWrapsAround(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	b := NewBitArray(sp, 16, 64)
 	for i := 0; i < 64; i++ {
 		b.Set(i)
@@ -455,7 +454,7 @@ func TestBitArrayPropertyMatchesReferenceModel(t *testing.T) {
 	// exactly the longest consecutive run from the head, word-bounded,
 	// matching a simple reference implementation.
 	f := func(setsRaw []uint8) bool {
-		sp := NewScratchpad(4096, 4)
+		sp := NewScratchpad(4)
 		b := NewBitArray(sp, 0, 256)
 		ref := make([]bool, 256)
 		head := 0
@@ -490,7 +489,7 @@ func TestBitArrayPropertyMatchesReferenceModel(t *testing.T) {
 }
 
 func TestBitArrayBadSizePanics(t *testing.T) {
-	sp := NewScratchpad(1024, 2)
+	sp := NewScratchpad(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad size did not panic")

@@ -72,7 +72,7 @@ func TestSDRAMSleepsLikeTickedRun(t *testing.T) {
 // every edge, under the same requests from a ticker registered before them,
 // as the cores are. Completion instants, grants, per-port wait
 // cycles and the port's utilization must agree. With a bank-stall hook the
-// crossbar never sleeps, and the hook must see every resource every cycle:
+// crossbar never sleeps, and the hook must see every bank every cycle:
 // one installed before the run, and one installed and removed in windows
 // mid-run, some opening while the crossbar sleeps idle.
 func TestCrossbarAndInstrMemorySleepLikeTickedRun(t *testing.T) {
@@ -83,7 +83,7 @@ func TestCrossbarAndInstrMemorySleepLikeTickedRun(t *testing.T) {
 	)
 	run := func(sleep bool, stall int) (string, uint64) {
 		x := NewCrossbar(4, 3)
-		m := NewInstrMemory(2, 32)
+		m := NewInstrMemory()
 		cpu := sim.NewDomain("cpu", 166e6)
 		e := sim.NewEngine()
 		var log strings.Builder
