@@ -1,10 +1,12 @@
 package firmware
 
 import (
+	"sync"
 	"testing"
 	"unsafe"
 
 	"repro/internal/cpu"
+	"repro/internal/fwkernels"
 	"repro/internal/host"
 )
 
@@ -71,6 +73,31 @@ func TestDefaultProfileIdealBudgets(t *testing.T) {
 		float64(p.RecvFramePrep.Instr+p.RecvFrameDone.Instr+p.RecvFrameComplete.Instr)
 	if recvInstr < 235 || recvInstr > 275 {
 		t.Errorf("ideal receive instructions per frame = %.1f, want ~253", recvInstr)
+	}
+}
+
+// TestDefaultProfileConcurrent checks the one process-wide state a build
+// reads: sweep workers build NICs concurrently, and the ordering kernels are
+// measured once per process behind them. Eight goroutines racing on the
+// first call all get the kernels a fresh measurement gives. CI runs it alone
+// under the race detector, so that its calls are the first.
+func TestDefaultProfileConcurrent(t *testing.T) {
+	const n = 8
+	got := make([]fwkernels.Results, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = DefaultProfile(Ordering(i % 2)).Kernels
+		}()
+	}
+	wg.Wait()
+	want := fwkernels.MustMeasure(64, 8)
+	for i, k := range got {
+		if k != want {
+			t.Errorf("goroutine %d: kernels %+v, want %+v", i, k, want)
+		}
 	}
 }
 

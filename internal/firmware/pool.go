@@ -13,12 +13,12 @@ import "repro/internal/cpu"
 // stream's ops.
 //
 // The free list has no fixed length, like the freeblocks list of a driver
-// that preallocates its rings: every returned stream is kept, so the list
-// settles at the peak number of streams outstanding at once (queued
-// continuations included) and then stops growing.
+// that preallocates its rings: every returned stream is kept, whatever its op
+// capacity, so the list settles at the peak number of streams outstanding at
+// once (queued continuations included) and then stops growing. Task-parallel
+// firmware builds streams of up to ~10,000 ops; they are recycled like the
+// rest.
 const (
-	// poolMaxOps is the largest op capacity the free list keeps.
-	poolMaxOps = 4096
 	// reserveSlack bounds the headroom a buffer is chosen with beyond the
 	// ops requested: a cost block is usually followed by a short lock/ALU
 	// tail.
@@ -56,12 +56,8 @@ func (p *streamPool) get(need, want int) *cpu.Stream {
 	return s
 }
 
-// put recycles s. Ops hold no pointers, so they need no clearing. An
-// oversized buffer leaves s to the garbage collector.
+// put recycles s. Ops hold no pointers, so they need no clearing.
 func (p *streamPool) put(s *cpu.Stream) {
-	if cap(s.Ops) > poolMaxOps {
-		return
-	}
 	*s = cpu.Stream{Ops: s.Ops[:0]}
 	p.free = append(p.free, s)
 }

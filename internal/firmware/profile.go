@@ -14,6 +14,8 @@
 package firmware
 
 import (
+	"sync"
+
 	"repro/internal/cpu"
 	"repro/internal/fwkernels"
 	"repro/internal/sim"
@@ -293,6 +295,11 @@ const (
 	FramesPerSendBD = SendBDsPerBatch / 2
 )
 
+// measuredKernels runs the ordering kernels on the interpreter once per
+// process. Measurement is deterministic, so every build shares one result;
+// sync.OnceValue makes the first call safe to race from sweep workers.
+var measuredKernels = sync.OnceValue(func() fwkernels.Results { return fwkernels.MustMeasure(64, 8) })
+
 // DefaultProfile returns the calibrated firmware cost model for the given
 // frame ordering: the one every core.Config build runs.
 func DefaultProfile(ord Ordering) Profile {
@@ -323,7 +330,7 @@ func DefaultProfile(ord Ordering) Profile {
 		SyncOrderRecv: TaskCost{7, 2, 1},
 		SyncLockRecv:  TaskCost{16, 5, 4},
 
-		Kernels:     fwkernels.MustMeasure(64, 8),
+		Kernels:     measuredKernels(),
 		Ordering:    ord,
 		Parallelism: FrameParallel,
 		EventBatch:  16,

@@ -30,12 +30,13 @@ func TestHashlintFixtures(t *testing.T) {
 }
 
 // TestConcurrencyContractPackagesClean pins the packages that sweep workers
-// run concurrently — the sweep runner, whose memo is the only mutex-guarded
-// state the workers share, experiments, which drives simulations from the
-// runner's pool, and the firmware every one of those simulations runs —
-// clean under hashlint even in -short mode, where the whole-tree check is
-// skipped. Patterns resolve against the module root, and one naming no Go
-// files loads nothing, so the package count is checked.
+// run concurrently — the sweep runner, whose mutex-guarded memo the workers
+// share, experiments, which drives simulations from the runner's pool, and
+// the firmware every one of those simulations runs, whose ordering kernels
+// are the other shared state (measured once per process, behind a
+// sync.OnceValue) — clean under hashlint even in -short mode, where the
+// whole-tree check is skipped. Patterns resolve against the module root, and
+// one naming no Go files loads nothing, so the package count is checked.
 func TestConcurrencyContractPackagesClean(t *testing.T) {
 	prog, err := lint.NewProgram(".")
 	if err != nil {
