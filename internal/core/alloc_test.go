@@ -2,9 +2,11 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/firmware"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -14,13 +16,17 @@ import (
 // 1472-byte or 18-byte datagrams (at 18 bytes most arriving frames are
 // dropped at the MAC), and the task-parallel firmware of Ablation B at six
 // cores and 150 MHz, whose streams run to ~10,000 ops. Completions are typed
-// records, and every per-frame object (frames, the firmware's frame and
-// batch records, op streams, queue rings) is recycled through lists the NIC
-// owns, which grow to the peak in flight. At 6×166 the transmit backlog
-// fills the host's 512-frame send ring in about 3 ms, so the lists keep
-// growing until then; the warm-up covers that. Later peaks a little above
-// the first are absorbed by the lists' headroom or, rarely (a handful of
-// allocations in tens of simulated ms), grow them once more.
+// records, the firmware's frame records sit in fixed tables built with the
+// NIC, one entry per frame that can be live, and every other per-frame
+// object (host frames, batch records, op streams, queue rings) is recycled
+// through lists the NIC owns, which grow to the peak in flight. At 6×166 the
+// transmit backlog fills the host's 512-frame send ring in about 3 ms, so
+// the host's frame list and the queues keep growing until then; the warm-up
+// covers that. Later peaks a little above the first are absorbed by the
+// lists' headroom or, rarely (a handful of allocations in tens of simulated
+// ms), grow them once more. Only allocations from the simulator's stacks
+// count (moduleAllocs): the Go runtime's own goroutines allocate now and
+// then, and a window must not fail for them.
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates ~36 ms")
@@ -48,18 +54,10 @@ func TestSteadyStateAllocations(t *testing.T) {
 			n := New(p.cfg)
 			n.AttachWorkload(p.udp, false)
 			n.Engine.RunFor(warmup)
-			// As testing.AllocsPerRun does: one P, so that the runtime's
-			// and other goroutines' allocations stay out of the windows,
-			// and the collector's workers started beforehand.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			runtime.GC()
-			var m0, m1 runtime.MemStats
 			for i := 0; i < windows; i++ {
-				runtime.ReadMemStats(&m0)
-				n.Engine.RunFor(window)
-				runtime.ReadMemStats(&m1)
-				if allocs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; allocs != 0 || bytes != 0 {
-					t.Errorf("window %d: %d allocations, %d bytes per 100 µs simulated, want 0", i, allocs, bytes)
+				bytes, allocs, stacks := moduleAllocs(t, func() { n.Engine.RunFor(window) })
+				if allocs != 0 || bytes != 0 {
+					t.Errorf("window %d: %d allocations, %d bytes per 100 µs simulated, want 0:\n%s", i, allocs, bytes, strings.Join(stacks, "\n"))
 				}
 			}
 		})
@@ -116,17 +114,30 @@ func TestNICReleasesHeap(t *testing.T) {
 func TestBuildFootprint(t *testing.T) {
 	const limit = 200 << 10
 	New(RMWConfig()).AttachWorkload(1472, false)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	var n *NIC
+	bytes, objects, stacks := moduleAllocs(t, func() {
+		n = New(RMWConfig())
+		n.AttachWorkload(1472, false)
+	})
+	runtime.KeepAlive(n)
+	t.Logf("build allocated %d B in %d objects", bytes, objects)
+	if bytes > limit {
+		t.Errorf("New(RMWConfig()) + AttachWorkload allocated %d B, want <= %d:\n%s", bytes, limit, strings.Join(stacks, "\n"))
+	}
+}
+
+// TestEnableObsFootprint bounds what latency observation adds to a warm
+// build: at most 128 KB. The recorder keeps one timestamp vector and one
+// origin slot per entry of the firmware's frame tables (512 per direction),
+// 72 KB.
+func TestEnableObsFootprint(t *testing.T) {
+	const limit = 128 << 10
+	New(RMWConfig()).EnableObs(obs.Config{})
 	n := New(RMWConfig())
 	n.AttachWorkload(1472, false)
-	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(n)
-	bytes := m1.TotalAlloc - m0.TotalAlloc
-	t.Logf("build allocated %d B in %d objects", bytes, m1.Mallocs-m0.Mallocs)
+	bytes, objects, stacks := moduleAllocs(t, func() { n.EnableObs(obs.Config{}) })
+	t.Logf("EnableObs allocated %d B in %d objects", bytes, objects)
 	if bytes > limit {
-		t.Errorf("New(RMWConfig()) + AttachWorkload allocated %d B, want <= %d", bytes, limit)
+		t.Errorf("EnableObs allocated %d B, want <= %d:\n%s", bytes, limit, strings.Join(stacks, "\n"))
 	}
 }

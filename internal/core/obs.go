@@ -23,7 +23,8 @@ import (
 func (n *NIC) EnableObs(cfg obs.Config) *obs.Recorder {
 	rec := n.obs
 	if rec == nil {
-		rec = obs.NewRecorder(obs.Config{}, n.Engine.Now)
+		send, recv := n.FW.FrameTables()
+		rec = obs.NewRecorder(obs.Config{}, n.Engine.Now, send, recv)
 		n.obs = rec
 		// Multi-queue builds additionally track per-receive-queue latency
 		// and occupancy; single-ring latency reports are unchanged.

@@ -21,7 +21,8 @@ import (
 // and stuck windows on one core with overlapping bank errors, a core stuck
 // for good, and short bank errors; the starvation point and the small rings
 // make the sleeping host's entry points matter (starvation, lost doorbells,
-// freed send slots, consumed receive buffers). The synchronized-burst point
+// freed send slots, consumed receive buffers) and size the send frame table
+// and ordering ring to 16 and 8 frames. The synchronized-burst point
 // keeps the host polling its gated sender. Every point observes latency, so
 // the reports carry the per-stage timings too.
 func TestSleepMatchesEveryEdge(t *testing.T) {
@@ -76,6 +77,9 @@ func TestSleepMatchesEveryEdge(t *testing.T) {
 		t.Run(pt.name, func(t *testing.T) {
 			run := func() ([]byte, uint64) {
 				n := NewWithHost(pt.cfg, pt.host)
+				if send, _ := n.FW.FrameTables(); send != pt.host.SendRing {
+					t.Fatalf("send frame table holds %d records, want the host send ring's %d", send, pt.host.SendRing)
+				}
 				if pt.traffic == "" {
 					n.AttachWorkload(pt.udp, false)
 				} else {

@@ -78,7 +78,7 @@ func (fw *Firmware) Complete(done uint32) {
 			fr.buf = addr
 			fw.dmaOutSend++
 			fw.dma(rec(noteSendFrame, uint32(fr.pos%FlagBits)))
-			fw.Obs.FrameStage(obs.Send, obs.SendDMAStart, fr.idx)
+			fw.Obs.FrameStage(obs.Send, obs.SendDMAStart, fr.idx, int(fr.entry))
 		}
 		fw.freeBatch(arg)
 	case doneSendComplete:
@@ -86,8 +86,8 @@ func (fw *Firmware) Complete(done uint32) {
 		n := len(b.frames)
 		for _, fr := range b.frames {
 			fw.txRing.release(fr.buf)
-			fw.Obs.FrameStage(obs.Send, obs.SendNotified, fr.idx)
-			fw.sendFree.Put(fr)
+			fw.Obs.FrameStage(obs.Send, obs.SendNotified, fr.idx, int(fr.entry))
+			fw.sendFrames.put(fr)
 		}
 		fw.freeBatch(arg)
 		fw.hst.CompleteSend(n)
@@ -101,13 +101,13 @@ func (fw *Firmware) Complete(done uint32) {
 			fw.dmaOutRecv++
 			fw.as.DMAWrite.WriteFrame(fr.buf, int(fr.size), 0)
 			fw.dma(rec(noteRecvDesc, r.arg(fr.pos%r.bits)))
-			fw.Obs.FrameStage(obs.Recv, obs.RecvDMAStart, fr.idx)
+			fw.Obs.FrameStage(obs.Recv, obs.RecvDMAStart, fr.idx, int(fr.entry))
 		}
 		fw.freeBatch(arg)
 	case doneRecvComplete:
 		for _, fr := range fw.batches[arg].frames {
 			fw.rxRing.release(fr.buf)
-			fw.recvFree.Put(fr)
+			fw.recvFrames.put(fr)
 		}
 		fw.freeBatch(arg)
 	case doneSet:
@@ -115,10 +115,10 @@ func (fw *Firmware) Complete(done uint32) {
 		r.flags.Set(int(low))
 		r.set++
 		r.pend--
-		if r.q < 0 {
-			fw.Obs.FrameStage(obs.Send, obs.SendFlagSet, r.frames[low].idx)
+		if fr := r.at(low); r.q < 0 {
+			fw.Obs.FrameStage(obs.Send, obs.SendFlagSet, fr.idx, int(fr.entry))
 		} else {
-			fw.Obs.FrameStage(obs.Recv, obs.RecvFlagSet, r.frames[low].idx)
+			fw.Obs.FrameStage(obs.Recv, obs.RecvFlagSet, fr.idx, int(fr.entry))
 		}
 	case doneCommit:
 		fw.commit(fw.rings[ring], int(low))
@@ -136,20 +136,20 @@ func (fw *Firmware) Complete(done uint32) {
 	case noteSendBDs:
 		bds := fw.hst.TakeSendBDs(fw.batches[arg].n)
 		for i := 0; i+1 < len(bds); i += 2 {
-			fr := fw.sendFree.Get()
+			fr := fw.sendFrames.get()
 			fr.f = bds[i].Frame
 			fw.send.admit(fr)
 			fr.idx = fr.pos
 			fw.prepQ.Push(fr)
-			fw.Obs.FrameStage(obs.Send, obs.SendBDFetched, fr.idx)
+			fw.Obs.FrameStage(obs.Send, obs.SendBDFetched, fr.idx, int(fr.entry))
 		}
 		fw.bdFetchOut--
 		fw.freeBatch(arg)
 	case noteSendFrame:
-		fr := fw.send.frames[arg]
+		fr := fw.send.at(uint64(arg))
 		fw.dmaOutSend--
 		fw.sendDMADone.Push(fr)
-		fw.Obs.FrameStage(obs.Send, obs.SendDMADone, fr.idx)
+		fw.Obs.FrameStage(obs.Send, obs.SendDMADone, fr.idx, int(fr.entry))
 	case noteRecvBDs:
 		b := &fw.batches[arg]
 		rq := fw.rxq[b.q]
@@ -158,10 +158,10 @@ func (fw *Firmware) Complete(done uint32) {
 		fw.freeBatch(arg)
 	case noteRecvDesc:
 		r := fw.rings[ring]
-		fr := r.frames[low]
+		fr := r.at(low)
 		fw.dmaOutRecv--
 		fw.rxq[r.q].dmaDone.Push(fr)
-		fw.Obs.FrameStage(obs.Recv, obs.RecvDMADone, fr.idx)
+		fw.Obs.FrameStage(obs.Recv, obs.RecvDMADone, fr.idx, int(fr.entry))
 	case noteToken:
 		fw.rec.complete(fw, arg)
 	default:
@@ -197,10 +197,10 @@ func (fw *Firmware) issue(note, tag uint32) {
 		b := &fw.batches[arg]
 		fw.as.DMARead.FetchBDs(b.n*RecvBDWords, b.base, tag)
 	case noteSendFrame:
-		fr := fw.send.frames[arg]
+		fr := fw.send.at(uint64(arg))
 		fw.as.DMARead.FetchFrame(fr.buf, host.HeaderBytes, fr.f.Size-host.HeaderBytes, tag)
 	case noteRecvDesc:
-		fr := fw.rings[arg>>queueShift].frames[arg&(1<<queueShift-1)]
+		fr := fw.rings[arg>>queueShift].at(uint64(arg & (1<<queueShift - 1)))
 		fw.as.DMAWrite.WriteDescriptor(RegionRecvDesc+desc(fr.idx, DescDMA), RecvBDWords, tag)
 	}
 }

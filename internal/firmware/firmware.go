@@ -98,11 +98,12 @@ func (r *slotRing) available() int { return len(r.free) }
 // frame until the MAC has transmitted it or the host has taken delivery.
 // Its ring, and its receive queue, are known from where it is held.
 type frame struct {
-	f    *host.Frame
-	idx  uint64 // direction-wide index (observation, descriptor addressing)
-	pos  uint64 // position on its ordering ring (status flag and ring slot)
-	buf  uint32
-	size int32 // received length; a sent frame's is f.Size
+	f     *host.Frame
+	idx   uint64 // direction-wide index (descriptor addressing, trace events)
+	pos   uint64 // position on its ordering ring (status flag and ring entry)
+	buf   uint32
+	size  uint16 // received length; a sent frame's is f.Size
+	entry uint16 // index in its direction's frameTable (latency observation)
 }
 
 // orderRing is one in-order commit point, the paper's ordering mechanism:
@@ -117,9 +118,14 @@ type orderRing struct {
 	bits     uint64
 	flags    *mem.BitArray
 
-	frames      []*frame // by position modulo bits
-	seq         uint64   // frames admitted (the next frame's position)
-	set         uint64   // flags set
+	// frames holds the frames admitted and not yet committed, positions
+	// [commitHead, seq), by position&mask. Commit is in order, so those
+	// positions are contiguous, and every one holds a live frame record: the
+	// array needs no more entries than its direction's frameTable.
+	frames      []*frame
+	mask        uint64
+	seq         uint64 // frames admitted (the next frame's position)
+	set         uint64 // flags set
 	commitHead  uint64
 	commitClaim bool
 	pend        int // flag sets claimed, not yet done
@@ -132,12 +138,21 @@ type orderRing struct {
 	syncOrder, syncLock      *TaskCost
 }
 
-// init places the ring's flag array of bits flags at base.
-func (r *orderRing) init(sp *mem.Scratchpad, base uint32, bits int) {
+// init places the ring's flag array of bits flags at base and sizes its
+// frame array for live frames: min(bits, live) rounded up to a power of
+// two, which divides bits, so a flag position masks to its frame's entry.
+func (r *orderRing) init(sp *mem.Scratchpad, base uint32, bits, live int) {
 	r.flagBase, r.bits = base, uint64(bits)
 	r.flags = mem.NewBitArray(sp, base, bits)
-	r.frames = make([]*frame, bits)
+	n := 1
+	for n < min(bits, live) {
+		n <<= 1
+	}
+	r.frames, r.mask = make([]*frame, n), uint64(n-1)
 }
+
+// at returns the frame at position (or flag position) k.
+func (r *orderRing) at(k uint64) *frame { return r.frames[k&r.mask] }
 
 // index is the ring's position in Firmware.rings.
 func (r *orderRing) index() int { return r.q + 1 }
@@ -149,10 +164,15 @@ func (r *orderRing) arg(v uint64) uint32 { return uint32(r.index())<<queueShift 
 // word returns the address of the flag word holding position k.
 func (r *orderRing) word(k uint64) uint32 { return r.flagBase + uint32(k%r.bits/32)*4 }
 
-// admit gives fr the ring's next position.
+// admit gives fr the ring's next position. An occupied entry means more
+// frames admitted and uncommitted than the frame array holds, and panics.
 func (r *orderRing) admit(fr *frame) {
+	e := &r.frames[r.seq&r.mask]
+	if *e != nil {
+		panic(fmt.Sprintf("firmware: ring %d admits position %d onto occupied entry %d", r.index(), r.seq, r.seq&r.mask))
+	}
 	fr.pos = r.seq
-	r.frames[r.seq%r.bits] = fr
+	*e = fr
 	r.seq++
 }
 
@@ -239,11 +259,11 @@ type Firmware struct {
 	handed []*cpu.Stream
 	pool   streamPool
 
-	// Free lists of the per-frame records, one per direction, and of batch
-	// records (see completion.go), and the frame batch a claim builds its
-	// stream from.
-	sendFree    fifo.Free[frame]
-	recvFree    fifo.Free[frame]
+	// The frame records, one fixed table per direction (see pool.go), the
+	// batch records and their free list (see completion.go), and the frame
+	// batch a claim builds its stream from.
+	sendFrames  frameTable
+	recvFrames  frameTable
 	batches     []batch
 	freeBatches []uint32
 	scratch     []*frame
@@ -284,10 +304,13 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 		cont:   make([]fifo.Queue[*cpu.Stream], nCores),
 		handed: make([]*cpu.Stream, nCores),
 		nCores: nCores,
+
+		sendFrames: newFrameTable("send", hst.SendRing()),
+		recvFrames: newFrameTable("receive", rxSlots),
 	}
 	fw.send = orderRing{q: -1, ordLock: LockSendOrd, poolLock: LockHostNtfy, hwPtr: PtrMACTx, acct: AcctSendOrder,
 		syncOrder: &fw.Prof.SyncOrderSend, syncLock: &fw.Prof.SyncLockSend}
-	fw.send.init(sp, FlagsSend, FlagBits)
+	fw.send.init(sp, FlagsSend, FlagBits, hst.SendRing())
 	fw.rings = append(fw.rings, &fw.send)
 	// One receive pipeline per host receive queue. The status-flag region is
 	// subdivided evenly: with one queue the subarray is the entire legacy
@@ -296,7 +319,7 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 	for q := 0; q < nq; q++ {
 		rq := &rxQueue{orderRing: orderRing{q: q, ordLock: LockRecvOrdQ(q), poolLock: LockRxPoolQ(q), hwPtr: PtrDMAWrite, acct: AcctRecvOrder,
 			syncOrder: &fw.Prof.SyncOrderRecv, syncLock: &fw.Prof.SyncLockRecv}}
-		rq.init(sp, FlagsRecvQ(q, nq), RecvFlagBits(nq))
+		rq.init(sp, FlagsRecvQ(q, nq), RecvFlagBits(nq), rxSlots)
 		fw.rxq = append(fw.rxq, rq)
 		fw.rings = append(fw.rings, &rq.orderRing)
 	}
@@ -305,19 +328,19 @@ func New(prof Profile, sp *mem.Scratchpad, hst *host.Host, as Assists, nCores in
 	}
 	as.MACRx.OnReceive = func(buf uint32, size int, handle any, queue int) {
 		rq := fw.rxq[queue]
-		fr := fw.recvFree.Get()
-		*fr = frame{f: handle.(*host.Frame), idx: fw.recvSeq, buf: buf, size: int32(size)}
+		fr := fw.recvFrames.get()
+		fr.f, fr.idx, fr.buf, fr.size = handle.(*host.Frame), fw.recvSeq, buf, uint16(size)
 		fw.recvSeq++
 		rq.admit(fr)
 		rq.arrivedQ.Push(fr)
-		fw.Obs.FrameStageQ(obs.Recv, obs.RecvBuffered, fr.idx, queue)
+		fw.Obs.FrameStageQ(obs.Recv, obs.RecvBuffered, fr.idx, int(fr.entry), queue)
 	}
 	as.MACTx.OnTransmit = func(handle any) {
 		fr := handle.(*frame)
 		f := fr.f
 		fr.f = nil
 		fw.txDoneQ.Push(fr)
-		fw.Obs.FrameStage(obs.Send, obs.SendWireDone, fr.idx)
+		fw.Obs.FrameStage(obs.Send, obs.SendWireDone, fr.idx, int(fr.entry))
 		if fw.OnTransmit != nil {
 			fw.OnTransmit(f)
 		}
@@ -999,22 +1022,23 @@ func (fw *Firmware) commit(r *orderRing, n int) {
 // to the host.
 func (fw *Firmware) commitCleared(r *orderRing, k int) {
 	for i := 0; i < k; i++ {
-		fr := r.frames[r.commitHead%r.bits]
+		e := &r.frames[r.commitHead&r.mask]
+		fr := *e
 		if fr == nil {
 			panic(fmt.Sprintf("firmware: committing absent frame %d on ring %d", r.commitHead, r.index()))
 		}
-		r.frames[r.commitHead%r.bits] = nil
+		*e = nil
 		r.commitHead++
 		if r.q < 0 {
 			fw.TxCommitted.Inc()
 			fw.as.MACTx.Send(fr.buf, fr.f.Size, fr)
-			fw.Obs.FrameStage(obs.Send, obs.SendCommitted, fr.idx)
+			fw.Obs.FrameStage(obs.Send, obs.SendCommitted, fr.idx, int(fr.entry))
 			continue
 		}
 		fw.RxDelivered.Inc()
 		fw.hst.DeliverFrame(fr.f, r.q)
 		fr.f = nil
 		fw.rxq[r.q].doneQ.Push(fr)
-		fw.Obs.FrameStageQ(obs.Recv, obs.RecvDelivered, fr.idx, r.q)
+		fw.Obs.FrameStageQ(obs.Recv, obs.RecvDelivered, fr.idx, int(fr.entry), r.q)
 	}
 }

@@ -1,10 +1,15 @@
 package firmware
 
-import "repro/internal/cpu"
+import (
+	"fmt"
 
-// Stream recycling. The paper's firmware allocates nothing per frame: it
-// works from a preallocated event ring, fixed descriptor rings and fixed
-// SDRAM frame slots. The model keeps the same discipline for its op streams.
+	"repro/internal/cpu"
+)
+
+// Stream and frame recycling. The paper's firmware allocates nothing per
+// frame: it works from a preallocated event ring, fixed descriptor rings and
+// fixed SDRAM frame slots. The model keeps the same discipline for its op
+// streams and, in fixed tables, for its frame records (frameTable).
 // A core asks for work (cpu.Core.NextWork) only once its previous stream has
 // completed or been preempted, so nextWork first recycles the stream it last
 // handed to that core, and builders take their op buffers and Stream structs
@@ -60,4 +65,57 @@ func (p *streamPool) get(need, want int) *cpu.Stream {
 func (p *streamPool) put(s *cpu.Stream) {
 	*s = cpu.Stream{Ops: s.Ops[:0]}
 	p.free = append(p.free, s)
+}
+
+// frameTable is one direction's fixed table of frame records, built once
+// with one record for each frame the direction can have live. A send record
+// lives from its descriptor fetch to its transmit completion, which returns
+// its host ring slot in the same completion, so the send table holds the
+// host send ring; a receive record lives exactly as long as its receive
+// buffer slot, so the receive table holds rxSlots. A record's entry is its
+// index in the table, which latency observation keys its timestamps by.
+type frameTable struct {
+	recs []frame
+	free []uint16 // entries of the free records, the next one last
+	full string   // get's panic message
+}
+
+func newFrameTable(dir string, n int) frameTable {
+	if n <= 0 || n > 1<<16 {
+		panic(fmt.Sprintf("firmware: %s frame table of %d records; want 1 to %d", dir, n, 1<<16))
+	}
+	t := frameTable{
+		recs: make([]frame, n),
+		free: make([]uint16, n),
+		full: fmt.Sprintf("firmware: %s frame table full: more than %d frames live", dir, n),
+	}
+	for i := range t.recs {
+		t.recs[i].entry = uint16(i)
+		t.free[n-1-i] = uint16(i)
+	}
+	return t
+}
+
+// get returns a free record, zeroed but for its entry. More frames live
+// than the table holds is a broken bound, and panics.
+func (t *frameTable) get() *frame {
+	n := len(t.free)
+	if n == 0 {
+		panic(t.full)
+	}
+	fr := &t.recs[t.free[n-1]]
+	t.free = t.free[:n-1]
+	return fr
+}
+
+// put zeroes fr and takes it back; nothing may use fr afterwards.
+func (t *frameTable) put(fr *frame) {
+	*fr = frame{entry: fr.entry}
+	t.free = append(t.free, fr.entry) // never grows: the table holds every entry
+}
+
+// FrameTables returns the sizes of the send and receive frame tables: the
+// most frames each direction can have live.
+func (fw *Firmware) FrameTables() (send, recv int) {
+	return len(fw.sendFrames.recs), len(fw.recvFrames.recs)
 }

@@ -278,9 +278,9 @@ func (fw *Firmware) SabotageSwap(send bool) {
 		rings = fw.rings[:1]
 	}
 	for _, r := range rings {
-		for i := uint64(0); i+1 < r.bits; i++ {
-			a := (r.commitHead + i) % r.bits
-			b := (r.commitHead + i + 1) % r.bits
+		for i := uint64(0); i+1 < uint64(len(r.frames)); i++ {
+			a := (r.commitHead + i) & r.mask
+			b := (r.commitHead + i + 1) & r.mask
 			if r.frames[a] != nil && r.frames[b] != nil {
 				r.frames[a], r.frames[b] = r.frames[b], r.frames[a]
 				return

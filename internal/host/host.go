@@ -415,6 +415,10 @@ func (h *Host) TakeSendBDs(max int) []SendBD {
 	return out
 }
 
+// SendRing returns the send descriptor ring's capacity in frames: the most
+// frames posted and not yet completed.
+func (h *Host) SendRing() int { return h.cfg.SendRing }
+
 // RxQueues returns the number of receive queues the host provisions.
 func (h *Host) RxQueues() int { return len(h.recv) }
 

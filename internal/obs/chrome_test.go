@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 // buildTestRecorder records one event of every kind with a scripted clock.
 func buildTestRecorder() *Recorder {
 	clk := &fakeClock{}
-	r := NewRecorder(Config{Events: 64}, clk.now)
+	r := NewRecorder(Config{Events: 64}, clk.now, 64, 64)
 	core0 := r.AddTrack("core 0")
 	dma := r.AddTrack("dma-read")
 	faults := r.AddTrack("faults")
@@ -28,7 +28,7 @@ func buildTestRecorder() *Recorder {
 	clk.at = 1*sim.Microsecond + 500*sim.Nanosecond
 	r.Counter(dma, "in-flight", 2)
 	clk.at += sim.Picoseconds(250) // sub-nanosecond precision must survive
-	r.FrameStage(Send, SendBDFetched, 0)
+	r.FrameStage(Send, SendBDFetched, 0, 0)
 	clk.at = 2 * sim.Microsecond
 	r.Instant(faults, "rx_corrupt")
 	clk.at = 3 * sim.Microsecond

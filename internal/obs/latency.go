@@ -8,19 +8,23 @@ type frameLat struct {
 	t [maxStages]sim.Picoseconds
 }
 
-// dirTracker tracks one direction's frames. Frames are keyed by their
-// firmware sequence index into a power-of-two ring; a slot is claimed (and
-// zeroed) by stage 1, so a frame abandoned mid-pipeline is simply overwritten
-// a full ring-revolution later.
+// dirTracker tracks one direction's frames. A frame is keyed by its entry
+// in the firmware's frame table, which it holds alone from stage 1 to its
+// last stage, so one vector per table entry holds every live frame: stage 1
+// claims (and zeroes) the vector, and no later frame can take it before the
+// frame finishes.
 type dirTracker struct {
 	nStages int
-	ring    []frameLat
+	frames  []frameLat
 
-	// origin is a head-indexed FIFO of pre-identity timestamps (FrameOrigin),
+	// origins is a fixed ring of pre-identity timestamps (FrameOrigin),
 	// consumed in order by stage 1: both paths assign frame indices in origin
-	// order, so the FIFO pairing is exact.
+	// order, so the FIFO pairing is exact. A pending origin belongs to a
+	// frame that already holds what bounds the table (a posted send ring
+	// slot, an allocated receive buffer), so the ring is the table's size.
 	origins    []sim.Picoseconds
 	originHead int
+	originN    int
 
 	hist Histogram
 	// Per-stage residency accumulators, indexed by the stage that *ends* the
@@ -31,28 +35,31 @@ type dirTracker struct {
 	stageCnt []uint64
 }
 
-func (t *dirTracker) init(nStages int) {
+func (t *dirTracker) init(nStages, frames int) {
 	t.nStages = nStages
-	t.ring = make([]frameLat, 1<<latRingBits)
+	t.frames = make([]frameLat, frames)
+	t.origins = make([]sim.Picoseconds, frames)
 	t.stageSum = make([]sim.Picoseconds, nStages)
 	t.stageMax = make([]sim.Picoseconds, nStages)
 	t.stageCnt = make([]uint64, nStages)
 }
 
 func (t *dirTracker) origin(at sim.Picoseconds) {
-	t.origins = append(t.origins, at)
+	if t.originN == len(t.origins) {
+		panic("obs: more frame origins pending than the frame table holds")
+	}
+	t.origins[(t.originHead+t.originN)%len(t.origins)] = at
+	t.originN++
 }
 
-func (t *dirTracker) stage(stage int, seq uint64, at sim.Picoseconds) {
-	fl := &t.ring[seq&uint64(len(t.ring)-1)]
+func (t *dirTracker) stage(stage int, entry int, at sim.Picoseconds) {
+	fl := &t.frames[entry]
 	if stage == 1 {
 		*fl = frameLat{}
-		if t.originHead < len(t.origins) {
+		if t.originN > 0 {
 			fl.t[0] = t.origins[t.originHead]
-			t.originHead++
-			if t.originHead == len(t.origins) {
-				t.origins, t.originHead = t.origins[:0], 0
-			}
+			t.originHead = (t.originHead + 1) % len(t.origins)
+			t.originN--
 		}
 	}
 	fl.t[stage] = at
@@ -87,11 +94,11 @@ func (t *dirTracker) finish(fl *frameLat, at sim.Picoseconds) {
 	}
 }
 
-// latencyOf reads frame seq's end-to-end latency ending at time at, using
-// the same origin fallback as finish. ok is false when the slot holds no
-// usable start (enabled mid-stream, or the ring already wrapped).
-func (t *dirTracker) latencyOf(seq uint64, at sim.Picoseconds) (sim.Picoseconds, bool) {
-	fl := &t.ring[seq&uint64(len(t.ring)-1)]
+// latencyOf reads the end-to-end latency of the frame at entry ending at
+// time at, using the same origin fallback as finish. ok is false when the
+// entry holds no usable start (observation enabled mid-stream).
+func (t *dirTracker) latencyOf(entry int, at sim.Picoseconds) (sim.Picoseconds, bool) {
+	fl := &t.frames[entry]
 	start := fl.t[0]
 	if start == 0 {
 		start = fl.t[1]

@@ -14,10 +14,11 @@
 // Two products come out of one stream of hooks, and a recorder pays only for
 // the ones it keeps:
 //
-//   - Per-frame latency, always: each direction keeps a sequence-indexed
-//     ring of per-stage timestamps; when a frame reaches its final stage the
-//     total and per-stage residencies fold into histograms (LatencyReport).
-//     The two frame rings take about 1 MB.
+//   - Per-frame latency, always: each direction keeps a vector of per-stage
+//     timestamps for each entry of the firmware's frame table, one per frame
+//     that can be live; when a frame reaches its final stage the total and
+//     per-stage residencies fold into histograms (LatencyReport). At the
+//     paper's 512-frame rings the two directions take 72 KB.
 //   - An event trace, only when Config.Events > 0 (or after KeepTrace): a
 //     fixed-capacity keep-last ring of typed events (stream spans on cores,
 //     wire spans on the MACs, in-flight counters on the DMA engines, fault
@@ -130,11 +131,6 @@ type Config struct {
 // DefaultEvents is the usual trace-ring capacity (40 B an event, 5 MB).
 const DefaultEvents = 1 << 17
 
-// latRingBits sizes the per-direction frame-latency rings: 8192 slots,
-// comfortably above the deepest in-flight window (the 4096-entry ordering
-// rings bound frames between identity assignment and commit).
-const latRingBits = 13
-
 // Recorder collects events and per-frame latencies. The zero value is not
 // usable; construct with NewRecorder. A nil *Recorder is a valid no-op
 // receiver for every recording method.
@@ -182,12 +178,15 @@ func (q *queueTracker) occStep(at sim.Picoseconds, delta int) {
 // NewRecorder builds a recorder that aggregates latency and, when
 // cfg.Events > 0, keeps an event trace. now supplies the current simulated
 // time (bind it to the engine's Now after the engine is assembled).
-func NewRecorder(cfg Config, now func() sim.Picoseconds) *Recorder {
+// sendFrames and recvFrames are the sizes of the firmware's frame tables:
+// every frame entry passed to FrameStage is below its direction's size, and
+// no more frames than that are ever between FrameOrigin and stage 1.
+func NewRecorder(cfg Config, now func() sim.Picoseconds, sendFrames, recvFrames int) *Recorder {
 	r := &Recorder{now: now}
 	r.frameTrack[Send] = -1
 	r.frameTrack[Recv] = -1
-	r.lat[Send].init(NumSendStages)
-	r.lat[Recv].init(NumRecvStages)
+	r.lat[Send].init(NumSendStages, sendFrames)
+	r.lat[Recv].init(NumRecvStages, recvFrames)
 	r.KeepTrace(cfg)
 	return r
 }
@@ -281,17 +280,19 @@ func (r *Recorder) FrameOrigin(dir Dir) {
 	r.lat[dir].origin(r.now())
 }
 
-// FrameStage timestamps one lifecycle stage of frame seq. The direction's
-// stage 1 claims the frame's latency slot and pops its origin timestamp; the
-// final stage folds the frame into the latency histograms.
+// FrameStage timestamps one lifecycle stage of frame seq, which holds entry
+// of its direction's frame table. The direction's stage 1 claims the
+// entry's timestamp vector and pops the frame's origin timestamp; the final
+// stage folds the frame into the latency histograms. Trace instants carry
+// seq.
 //
 //nic:hotpath
-func (r *Recorder) FrameStage(dir Dir, stage int, seq uint64) {
+func (r *Recorder) FrameStage(dir Dir, stage int, seq uint64, entry int) {
 	if r == nil {
 		return
 	}
 	at := r.now()
-	r.lat[dir].stage(stage, seq, at)
+	r.lat[dir].stage(stage, entry, at)
 	if t := r.frameTrack[dir]; t >= 0 && r.ring != nil && seq%r.sample == 0 {
 		r.record(event{at: at, kind: evStage, dir: dir, stage: uint8(stage), track: t, val: seq})
 	}
@@ -308,17 +309,17 @@ func (r *Recorder) EnableRecvQueues(n int) {
 	r.recvQ = make([]queueTracker, n)
 }
 
-// FrameStageQ timestamps one lifecycle stage of receive frame seq on a
-// specific queue: FrameStage's aggregation plus, when per-queue tracking is
-// enabled, queue occupancy (entered at buffering, left at delivery) and the
-// per-queue end-to-end latency histogram.
+// FrameStageQ timestamps one lifecycle stage of receive frame seq, at entry
+// of its frame table, on a specific queue: FrameStage's aggregation plus,
+// when per-queue tracking is enabled, queue occupancy (entered at buffering,
+// left at delivery) and the per-queue end-to-end latency histogram.
 //
 //nic:hotpath
-func (r *Recorder) FrameStageQ(dir Dir, stage int, seq uint64, queue int) {
+func (r *Recorder) FrameStageQ(dir Dir, stage int, seq uint64, entry, queue int) {
 	if r == nil {
 		return
 	}
-	r.FrameStage(dir, stage, seq)
+	r.FrameStage(dir, stage, seq, entry)
 	if dir != Recv || queue < 0 || queue >= len(r.recvQ) {
 		return
 	}
@@ -329,7 +330,7 @@ func (r *Recorder) FrameStageQ(dir Dir, stage int, seq uint64, queue int) {
 		q.occStep(at, 1)
 	case RecvDelivered:
 		q.occStep(at, -1)
-		if lat, ok := r.lat[Recv].latencyOf(seq, at); ok {
+		if lat, ok := r.lat[Recv].latencyOf(entry, at); ok {
 			q.hist.Add(lat)
 		}
 	}

@@ -19,7 +19,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Instant(0, "x")
 	r.Counter(0, "x", 1)
 	r.FrameOrigin(Send)
-	r.FrameStage(Send, SendBDFetched, 0)
+	r.FrameStage(Send, SendBDFetched, 0, 0)
 	r.ResetLatency()
 	if total, dropped := r.EventsRecorded(); total != 0 || dropped != 0 {
 		t.Errorf("EventsRecorded() = %d, %d on nil recorder", total, dropped)
@@ -33,14 +33,14 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 // checks totals and per-stage residencies.
 func TestFrameLatencyPipeline(t *testing.T) {
 	clk := &fakeClock{}
-	r := NewRecorder(Config{Events: 64}, clk.now)
+	r := NewRecorder(Config{Events: 64}, clk.now, 64, 64)
 
 	run := func(seq uint64, start sim.Picoseconds) {
 		clk.at = start
 		r.FrameOrigin(Send) // posted
 		for s := SendBDFetched; s < NumSendStages; s++ {
 			clk.at += sim.Microsecond // 1 µs per stage
-			r.FrameStage(Send, s, seq)
+			r.FrameStage(Send, s, seq, int(seq))
 		}
 	}
 	run(0, 10*sim.Microsecond)
@@ -82,10 +82,10 @@ func TestFrameLatencyPipeline(t *testing.T) {
 // stage instead of time zero.
 func TestFrameLatencyMissingOrigin(t *testing.T) {
 	clk := &fakeClock{}
-	r := NewRecorder(Config{Events: 64}, clk.now)
+	r := NewRecorder(Config{Events: 64}, clk.now, 64, 64)
 	clk.at = 100 * sim.Microsecond
 	for s := RecvBuffered; s < NumRecvStages; s++ {
-		r.FrameStage(Recv, s, 7)
+		r.FrameStage(Recv, s, 7, 7)
 		clk.at += 2 * sim.Microsecond
 	}
 	d := r.LatencyReport().Recv
@@ -105,12 +105,12 @@ func TestFrameLatencyMissingOrigin(t *testing.T) {
 
 func TestResetLatencyKeepsInFlightFrames(t *testing.T) {
 	clk := &fakeClock{}
-	r := NewRecorder(Config{Events: 64}, clk.now)
+	r := NewRecorder(Config{Events: 64}, clk.now, 64, 64)
 
 	clk.at = 10 * sim.Microsecond
 	r.FrameOrigin(Send)
 	clk.at = 11 * sim.Microsecond
-	r.FrameStage(Send, SendBDFetched, 0)
+	r.FrameStage(Send, SendBDFetched, 0, 0)
 
 	// The measurement boundary: aggregates clear, the in-flight frame's
 	// timestamps survive.
@@ -118,7 +118,7 @@ func TestResetLatencyKeepsInFlightFrames(t *testing.T) {
 
 	for s := SendDMAStart; s < NumSendStages; s++ {
 		clk.at += sim.Microsecond
-		r.FrameStage(Send, s, 0)
+		r.FrameStage(Send, s, 0, 0)
 	}
 	d := r.LatencyReport().Send
 	if d.Frames != 1 {
@@ -132,7 +132,7 @@ func TestResetLatencyKeepsInFlightFrames(t *testing.T) {
 
 func TestEventRingKeepsLast(t *testing.T) {
 	clk := &fakeClock{}
-	r := NewRecorder(Config{Events: 4}, clk.now)
+	r := NewRecorder(Config{Events: 4}, clk.now, 64, 64)
 	trk := r.AddTrack("t")
 	for i := 0; i < 10; i++ {
 		clk.at = sim.Picoseconds(i+1) * sim.Microsecond
@@ -146,10 +146,10 @@ func TestEventRingKeepsLast(t *testing.T) {
 
 func TestFrameSampling(t *testing.T) {
 	clk := &fakeClock{at: sim.Microsecond}
-	r := NewRecorder(Config{Events: 64, FrameSample: 4}, clk.now)
+	r := NewRecorder(Config{Events: 64, FrameSample: 4}, clk.now, 64, 64)
 	r.SetFrameTrack(Send, r.AddTrack("frames tx"))
 	for seq := uint64(0); seq < 8; seq++ {
-		r.FrameStage(Send, SendBDFetched, seq)
+		r.FrameStage(Send, SendBDFetched, seq, 0)
 	}
 	// Only seq 0 and 4 land in the trace ring; latency sees all 8.
 	if total, _ := r.EventsRecorded(); total != 2 {
@@ -162,7 +162,7 @@ func TestFrameSampling(t *testing.T) {
 // adds the ring afterwards.
 func TestLatencyOnlyRecorder(t *testing.T) {
 	clk := &fakeClock{at: sim.Microsecond}
-	r := NewRecorder(Config{}, clk.now)
+	r := NewRecorder(Config{}, clk.now, 64, 64)
 	if r.Tracing() || r.ring != nil {
 		t.Fatal("a recorder without Events keeps a trace ring")
 	}
@@ -175,7 +175,7 @@ func TestLatencyOnlyRecorder(t *testing.T) {
 	r.FrameOrigin(Send)
 	for s := SendBDFetched; s < NumSendStages; s++ {
 		clk.at += sim.Microsecond
-		r.FrameStage(Send, s, 0)
+		r.FrameStage(Send, s, 0, 0)
 	}
 	if total, dropped := r.EventsRecorded(); total != 0 || dropped != 0 {
 		t.Errorf("EventsRecorded() = %d, %d without a trace, want 0, 0", total, dropped)
@@ -189,13 +189,48 @@ func TestLatencyOnlyRecorder(t *testing.T) {
 		t.Fatal("KeepTrace did not add an 8-event ring")
 	}
 	r.Instant(trk, "x")
-	r.FrameStage(Send, SendBDFetched, 1) // not sampled
-	r.FrameStage(Send, SendBDFetched, 2)
+	r.FrameStage(Send, SendBDFetched, 1, 0) // not sampled
+	r.FrameStage(Send, SendBDFetched, 2, 0)
 	if total, _ := r.EventsRecorded(); total != 2 {
 		t.Errorf("EventsRecorded() = %d after KeepTrace, want 2", total)
 	}
 	r.KeepTrace(Config{Events: 64})
 	if len(r.ring) != 8 {
 		t.Error("a second KeepTrace replaced the ring")
+	}
+}
+
+// TestLongLivedFrameKeepsLatency holds one receive frame live while 10,000
+// later frames claim and finish on another queue. Keyed by its frame-table
+// entry, it still reports its true latency, in the direction's histogram
+// and its queue's. A ring keyed by sequence number (8,192 slots) hands its
+// slot to a later frame and loses it.
+func TestLongLivedFrameKeepsLatency(t *testing.T) {
+	clk := &fakeClock{at: sim.Microsecond}
+	r := NewRecorder(Config{}, clk.now, 2, 2)
+	r.EnableRecvQueues(2)
+	start := clk.at
+	r.FrameOrigin(Recv)
+	clk.at += sim.Microsecond
+	r.FrameStageQ(Recv, RecvBuffered, 0, 0, 0)
+	const later = 10000
+	for seq := uint64(1); seq <= later; seq++ {
+		r.FrameOrigin(Recv)
+		for s := RecvBuffered; s < NumRecvStages; s++ {
+			clk.at += sim.Nanosecond
+			r.FrameStageQ(Recv, s, seq, 1, 1)
+		}
+	}
+	for s := RecvDMAStart; s < NumRecvStages; s++ {
+		clk.at += sim.Nanosecond
+		r.FrameStageQ(Recv, s, 0, 0, 0)
+	}
+	want := us(clk.at - start)
+	rep := r.LatencyReport()
+	if d := rep.Recv; d.Frames != later+1 || d.MaxUs != want {
+		t.Errorf("recv: %d frames, max %v µs, want %d frames, max %v µs", d.Frames, d.MaxUs, later+1, want)
+	}
+	if q := rep.RecvQueues[0]; q.Frames != 1 || q.MaxUs != want {
+		t.Errorf("queue 0: %d frames, max %v µs, want 1 frame of %v µs", q.Frames, q.MaxUs, want)
 	}
 }

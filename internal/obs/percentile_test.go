@@ -33,7 +33,7 @@ func refQuantile(sorted []sim.Picoseconds, q float64) sim.Picoseconds {
 // brute-force nearest-rank reference over the true per-frame latencies.
 func TestPercentilesUnderBurstyArrivals(t *testing.T) {
 	clk := &fakeClock{at: sim.Microsecond} // avoid t=0, reserved as "unset"
-	r := NewRecorder(Config{Events: 64}, clk.now)
+	r := NewRecorder(Config{Events: 64}, clk.now, 64, 64)
 	rng := rand.New(rand.NewSource(42))
 
 	var (
@@ -52,7 +52,7 @@ func TestPercentilesUnderBurstyArrivals(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for s := RecvBuffered; s < NumRecvStages; s++ {
 				clk.at += sim.Picoseconds(1+rng.Intn(2000)) * sim.Nanosecond
-				r.FrameStage(Recv, s, seq)
+				r.FrameStage(Recv, s, seq, 0)
 			}
 			truth = append(truth, clk.at-origin)
 			seq++
